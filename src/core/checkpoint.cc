@@ -13,6 +13,7 @@
 #include "src/storage/io_arena.h"
 #include "src/util/binary_io.h"
 #include "src/util/check.h"
+#include "src/util/fnv1a.h"
 
 namespace mariusgnn {
 
@@ -30,42 +31,11 @@ constexpr size_t kOffDataBytes = 32;
 constexpr size_t kOffDataChecksum = 40;
 constexpr size_t kPreambleBytes = 48;
 
-constexpr uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-
 // Bounded scratch for the incremental data-checksum folds (the streaming
 // writer's read-back of scatter-written sections, and the reader's streaming
 // verify). Part of the save path's peak_bytes accounting, so it must stay well
 // below one partition of embedding rows.
 constexpr uint64_t kChecksumChunkBytes = 256 * 1024;
-
-uint64_t Fnv1a64(const uint8_t* data, size_t len) {
-  uint64_t h = kFnvOffsetBasis;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-// Incremental FNV-1a 64: folding a blob in chunks yields the same value as one
-// Fnv1a64 pass — the property the streaming writer/verifier are built on.
-void Fnv1a64Fold(uint64_t* h, const uint8_t* data, size_t len) {
-  uint64_t v = *h;
-  for (size_t i = 0; i < len; ++i) {
-    v ^= data[i];
-    v *= kFnvPrime;
-  }
-  *h = v;
-}
-
-void Fnv1a64FoldZeros(uint64_t* h, uint64_t count) {
-  uint64_t v = *h;
-  for (uint64_t i = 0; i < count; ++i) {
-    v *= kFnvPrime;  // v ^= 0 is a no-op
-  }
-  *h = v;
-}
 
 void AppendBytes(std::vector<uint8_t>& buf, const void* src, size_t len) {
   if (len == 0) {
@@ -265,7 +235,7 @@ void CheckpointSectionWriter::Append(const void* src, size_t bytes) {
                "checkpoint section mixed Append with WriteRows");
   MG_CHECK_MSG(cursor_ + bytes <= bytes_, "checkpoint section overflow");
   file_->WriteAt(src, bytes, file_offset_ + cursor_);
-  Fnv1a64Fold(checksum_, static_cast<const uint8_t*>(src), bytes);
+  Fnv1a64Fold(checksum_, src, bytes);
   cursor_ += bytes;
 }
 
@@ -350,7 +320,7 @@ CheckpointSaveStats SaveCheckpointStreaming(const CheckpointSaveRequest& request
   file.WriteAt(manifest.data(), manifest.size(), kPreambleBytes);
 
   uint64_t staging_peak = 0;
-  uint64_t data_checksum = kFnvOffsetBasis;
+  uint64_t data_checksum = kFnv64OffsetBasis;
   uint64_t folded = 0;        // data-block bytes folded into the checksum so far
   std::vector<uint8_t> chunk;  // read-back scratch; allocated only when needed
 
@@ -631,7 +601,7 @@ bool CheckpointReader::Open(const std::string& path, std::string* error) {
 
 bool CheckpointReader::VerifyDataChecksum(std::string* error) {
   MG_CHECK_MSG(file_ != nullptr, "CheckpointReader::Open must succeed first");
-  uint64_t h = kFnvOffsetBasis;
+  uint64_t h = kFnv64OffsetBasis;
   if (manifest_.data_bytes > 0) {
     std::vector<uint8_t> chunk(static_cast<size_t>(
         std::min<uint64_t>(kChecksumChunkBytes, manifest_.data_bytes)));

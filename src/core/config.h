@@ -4,8 +4,7 @@
 // (partition buffer + IO engine), PipelineOptions (async pipeline + adaptive
 // controller + compute parallelism), CheckpointOptions (crash-safe snapshots) —
 // so callers configure one subsystem at a time and new knobs land next to their
-// neighbors. The old flat field names survive as read-only forwarding accessors
-// (config.use_disk() etc.) for call sites that only consume the config.
+// neighbors.
 #ifndef SRC_CORE_CONFIG_H_
 #define SRC_CORE_CONFIG_H_
 
@@ -137,18 +136,6 @@ struct TrainingConfig {
   PipelineOptions pipeline;
   CheckpointOptions checkpoint;
   ReplicaOptions replica;
-
-  // Forwarding accessors for the pre-grouping flat field names: read-only views
-  // into the sub-structs so consumers of the config stay terse. Writers set the
-  // grouped fields directly (config.storage.use_disk = true).
-  bool use_disk() const { return storage.use_disk; }
-  bool prefetch() const { return storage.prefetch; }
-  const std::string& storage_dir() const { return storage.dir; }
-  bool pipelined() const { return pipeline.enabled; }
-  int pipeline_workers() const { return pipeline.workers; }
-  bool parallel_compute() const { return pipeline.parallel_compute; }
-  int64_t checkpoint_every_n_epochs() const { return checkpoint.every_n_epochs; }
-  const std::string& checkpoint_path() const { return checkpoint.path; }
 
   int64_t num_layers() const { return static_cast<int64_t>(fanouts.size()); }
 

@@ -5,7 +5,8 @@
 // experiments depend on*: power-law degree distributions (preferential attachment),
 // Zipf-distributed relation types for knowledge graphs, and community structure with
 // separable features/labels for node classification (so accuracy differences between
-// training regimes are meaningful). See DESIGN.md §1.
+// training regimes are meaningful). See docs/ARCHITECTURE.md, "Substitutions: the
+// simulated disk and synthetic graphs".
 #ifndef SRC_DATA_GENERATORS_H_
 #define SRC_DATA_GENERATORS_H_
 

@@ -41,92 +41,108 @@ class Decoder {
 
   // out[j] = score(src, rel, cand_j); used for MRR ranking. corrupt_src=true scores
   // (cand_j, rel, dst_row_or_src...) with the candidate on the source side.
-  void ScoreCandidates(const Tensor& reprs, int64_t fixed_row, int32_t rel,
-                       const std::vector<int64_t>& cand_rows, bool corrupt_src,
-                       std::vector<float>* out) const;
+  virtual void ScoreCandidates(const Tensor& reprs, int64_t fixed_row, int32_t rel,
+                               const std::vector<int64_t>& cand_rows, bool corrupt_src,
+                               std::vector<float>* out) const = 0;
 
-  virtual std::vector<Parameter*> Parameters() = 0;
+  std::vector<Parameter*> Parameters() { return {&rel_}; }
   virtual std::string name() const = 0;
 
  protected:
   Decoder(int32_t num_relations, int64_t dim, float init_scale, Rng& rng)
       : dim_(dim), rel_(Tensor::Uniform(num_relations, dim, init_scale, rng)) {}
 
-  // score(s, r, o) for dim_-wide vectors.
-  virtual float Score(const float* s, const float* r, const float* o) const = 0;
+  // One corruption side of a batch, shared read-only by all of its chunks.
+  struct Side {
+    const Tensor& reprs;
+    const std::vector<int64_t>& src_rows;
+    const std::vector<int64_t>& dst_rows;
+    const std::vector<int32_t>& rels;
+    const std::vector<int64_t>& neg_rows;
+    // The negatives' rows gathered dim-major: element d of negative j sits at
+    // neg_block[d * block_stride + j]; block_stride pads neg_rows.size() with zero
+    // columns up to a whole number of scoring lanes.
+    const float* neg_block;
+    int64_t block_stride;
+    bool corrupt_src;
+    float inv_b;  // loss scale / batch size
+  };
 
-  // Adds coeff * dScore into ds, dr, do_ (any may be nullptr).
-  virtual void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                             float* ds, float* dr, float* do_) const = 0;
+  // Edges [begin, end) of one side: accumulates gradients into d_out/rel_grad (the
+  // real accumulators with null remaps, or per-chunk compact partials indexed via
+  // slot_of[global row] / rel_slot_of[relation]) and returns the unscaled loss sum.
+  virtual double SideLossChunk(const Side& side, int64_t begin, int64_t end, Tensor* d_out,
+                               Tensor* rel_grad, const int32_t* slot_of,
+                               const int32_t* rel_slot_of) const = 0;
 
   int64_t dim_;
   Parameter rel_;  // num_relations x dim
   const ComputeContext* compute_ = nullptr;
 
  private:
-  // One corruption side of the loss; gradients and the returned loss are multiplied by
-  // `scale` so two sides can be averaged without rescaling accumulated gradients.
-  float SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                        const std::vector<int64_t>& dst_rows, const std::vector<int32_t>& rels,
-                        const std::vector<int64_t>& neg_rows, bool corrupt_src, float scale,
-                        Tensor* d_reprs);
-
-  // Edges [begin, end) of one side: accumulates gradients into d_out/rel_grad (the
-  // real accumulators with null remaps, or per-chunk compact partials indexed via
-  // slot_of[global row] / rel_slot_of[relation]) and returns the unscaled loss sum.
-  double SideLossChunk(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                       const std::vector<int64_t>& dst_rows, const std::vector<int32_t>& rels,
-                       const std::vector<int64_t>& neg_rows, bool corrupt_src, float inv_b,
-                       int64_t begin, int64_t end, Tensor* d_out, Tensor* rel_grad,
-                       const int32_t* slot_of, const int32_t* rel_slot_of) const;
+  // One corruption side of the loss. Its gradients and returned loss are scaled by
+  // side.inv_b (the side's weight over the batch size), so two sides can be averaged
+  // without rescaling accumulated gradients.
+  float SideLossAndGrad(const Side& side, Tensor* d_reprs);
 };
 
-// score(s, r, o) = sum_d s_d * r_d * o_d.
-class DistMultDecoder : public Decoder {
+// The per-edge loss kernel and candidate scoring, instantiated for one score
+// function `Fn` (defined, with the kernels, in decoder.cc).
+template <class Fn>
+class ScoredDecoder : public Decoder {
  public:
-  DistMultDecoder(int32_t num_relations, int64_t dim, Rng& rng)
-      : Decoder(num_relations, dim, 0.5f, rng) {}
-
-  std::vector<Parameter*> Parameters() override { return {&rel_}; }
-  std::string name() const override { return "DistMult"; }
+  void ScoreCandidates(const Tensor& reprs, int64_t fixed_row, int32_t rel,
+                       const std::vector<int64_t>& cand_rows, bool corrupt_src,
+                       std::vector<float>* out) const override;
 
  protected:
-  float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
+  using Decoder::Decoder;
+
+  double SideLossChunk(const Side& side, int64_t begin, int64_t end, Tensor* d_out,
+                       Tensor* rel_grad, const int32_t* slot_of,
+                       const int32_t* rel_slot_of) const override;
+
+ private:
+  template <bool kCorruptSrc>
+  double SideChunk(const Side& side, int64_t begin, int64_t end, Tensor* d_out,
+                   Tensor* rel_grad, const int32_t* slot_of, const int32_t* rel_slot_of) const;
+};
+
+struct DistMultScore;
+struct TransEScore;
+struct ComplExScore;
+extern template class ScoredDecoder<DistMultScore>;
+extern template class ScoredDecoder<TransEScore>;
+extern template class ScoredDecoder<ComplExScore>;
+
+// score(s, r, o) = sum_d s_d * r_d * o_d.
+class DistMultDecoder : public ScoredDecoder<DistMultScore> {
+ public:
+  DistMultDecoder(int32_t num_relations, int64_t dim, Rng& rng)
+      : ScoredDecoder(num_relations, dim, 0.5f, rng) {}
+
+  std::string name() const override { return "DistMult"; }
 };
 
 // score(s, r, o) = -||s + r - o||^2.
-class TransEDecoder : public Decoder {
+class TransEDecoder : public ScoredDecoder<TransEScore> {
  public:
   TransEDecoder(int32_t num_relations, int64_t dim, Rng& rng)
-      : Decoder(num_relations, dim, 0.5f, rng) {}
+      : ScoredDecoder(num_relations, dim, 0.5f, rng) {}
 
-  std::vector<Parameter*> Parameters() override { return {&rel_}; }
   std::string name() const override { return "TransE"; }
-
- protected:
-  float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
 };
 
 // score(s, r, o) = Re(<s, r, conj(o)>); dim must be even (first half real, second
 // half imaginary).
-class ComplExDecoder : public Decoder {
+class ComplExDecoder : public ScoredDecoder<ComplExScore> {
  public:
   ComplExDecoder(int32_t num_relations, int64_t dim, Rng& rng)
-      : Decoder(num_relations, dim, 0.5f, rng) {
+      : ScoredDecoder(num_relations, dim, 0.5f, rng) {
     MG_CHECK(dim % 2 == 0);
   }
 
-  std::vector<Parameter*> Parameters() override { return {&rel_}; }
   std::string name() const override { return "ComplEx"; }
-
- protected:
-  float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
 };
 
 std::unique_ptr<Decoder> MakeDecoder(const std::string& name, int32_t num_relations,

@@ -9,7 +9,8 @@
 //
 // Out-of-core experiments report modeled IO seconds (overlapped with compute when
 // prefetching is on), which keeps the COMET-vs-BETA comparisons deterministic and
-// host-independent. See DESIGN.md §1 for the substitution rationale.
+// host-independent. See docs/ARCHITECTURE.md, "Substitutions: the simulated disk
+// and synthetic graphs", for the rationale.
 //
 // Read/Write are thread-safe (the IoEngine issues many in-flight transfers from a
 // worker pool; positional pread/pwrite need no shared cursor and the stats are

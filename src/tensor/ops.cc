@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/util/slot_remap.h"
 
@@ -83,18 +84,34 @@ Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx)
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
   MG_CHECK(a.cols() == b.cols());
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
+  // Output columns per pass, each in its own accumulator summing kk ascending from
+  // 0 — the rounding of a plain per-(i, j) dot product, without its add-latency
+  // chain. B is packed transposed (k x n_pad, zero-padded columns) so a pass reads
+  // its kColumns values of one kk contiguously.
+  constexpr int64_t kColumns = 8;
+  const int64_t n_pad = (n + kColumns - 1) / kColumns * kColumns;
+  std::vector<float> bt(static_cast<size_t>(k * n_pad), 0.0f);
+  for (int64_t j = 0; j < n; ++j) {
+    const float* brow = b.RowPtr(j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      bt[static_cast<size_t>(kk * n_pad + j)] = brow[kk];
+    }
+  }
   Tensor c(m, n);
   ForEachRowChunk(ctx, m, [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
       const float* arow = a.RowPtr(i);
       float* crow = c.RowPtr(i);
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b.RowPtr(j);
-        float s = 0.0f;
+      for (int64_t j0 = 0; j0 < n; j0 += kColumns) {
+        float acc[kColumns] = {};
+        const float* bcol = bt.data() + j0;
         for (int64_t kk = 0; kk < k; ++kk) {
-          s += arow[kk] * brow[kk];
+          const float av = arow[kk];
+          for (int64_t t = 0; t < kColumns; ++t) {
+            acc[t] += av * bcol[kk * n_pad + t];
+          }
         }
-        crow[j] = s;
+        std::copy(acc, acc + std::min(kColumns, n - j0), crow + j0);
       }
     }
   });

@@ -62,6 +62,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/util/fnv1a.h"
+
 namespace mariusgnn {
 
 enum class RvInvariant : int {
@@ -332,24 +334,13 @@ class RvEpochPinMonitor {
 
 // --- Determinism hash ---------------------------------------------------------
 
-inline constexpr uint64_t kFnv64OffsetBasis = 14695981039346656037ULL;  // 0xCBF29CE484222325
-inline constexpr uint64_t kFnv64Prime = 1099511628211ULL;               // 0x100000001B3
-
 // Ordered FNV-1a 64 fold. The epoch hash folds each batch's mean-loss bits at
 // the in-order consumption point, so the hash is a pure function of the batch
 // stream: any two runs that consumed bitwise-identical losses in the same order
 // produce the same u64, and any silent stream change flips it.
 class DeterminismHash {
  public:
-  void Fold(const void* data, size_t len) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    uint64_t h = h_;
-    for (size_t i = 0; i < len; ++i) {
-      h ^= static_cast<uint64_t>(p[i]);
-      h *= kFnv64Prime;
-    }
-    h_ = h;
-  }
+  void Fold(const void* data, size_t len) { Fnv1a64Fold(&h_, data, len); }
 
   // Folds the IEEE-754 bit pattern (host byte order, like every on-disk format
   // in this repo) — 0.0f vs -0.0f and every NaN payload are distinct.

@@ -3,11 +3,14 @@
 // differences — the strongest correctness evidence for a manual-backprop library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "src/data/datasets.h"
 #include "src/nn/decoder.h"
@@ -600,6 +603,285 @@ TEST(ParallelDeterminism, DecoderLossAndGrad) {
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_TRUE(BitwiseEqual(parallel[i], serial[i]))
           << "decoder tensor " << i << " diverged with " << workers << " workers";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The decoder's lane-blocked loss kernel against the plain per-pair reference:
+// one RefScore per (edge, negative) pair and one RefScoreBackward per pair, each
+// adding into its source, relation and destination rows element by element. The
+// kernel must reproduce its bits exactly, including the per-chunk partials and
+// their ascending fold.
+// ---------------------------------------------------------------------------
+
+enum class RefKind { kDistMult, kTransE, kComplEx };
+
+float RefScore(RefKind kind, const float* s, const float* r, const float* o, int64_t dim) {
+  float v = 0.0f;
+  if (kind == RefKind::kDistMult) {
+    for (int64_t d = 0; d < dim; ++d) {
+      v += s[d] * r[d] * o[d];
+    }
+  } else if (kind == RefKind::kTransE) {
+    for (int64_t d = 0; d < dim; ++d) {
+      const float diff = s[d] + r[d] - o[d];
+      v -= diff * diff;
+    }
+  } else {
+    const int64_t half = dim / 2;
+    for (int64_t d = 0; d < half; ++d) {
+      v += (s[d] * r[d] - s[d + half] * r[d + half]) * o[d] +
+           (s[d] * r[d + half] + s[d + half] * r[d]) * o[d + half];
+    }
+  }
+  return v;
+}
+
+void RefScoreBackward(RefKind kind, const float* s, const float* r, const float* o,
+                      float coeff, int64_t dim, float* ds, float* dr, float* do_) {
+  if (kind == RefKind::kDistMult) {
+    for (int64_t d = 0; d < dim; ++d) {
+      ds[d] += coeff * r[d] * o[d];
+      dr[d] += coeff * s[d] * o[d];
+      do_[d] += coeff * s[d] * r[d];
+    }
+  } else if (kind == RefKind::kTransE) {
+    for (int64_t d = 0; d < dim; ++d) {
+      const float g = -2.0f * (s[d] + r[d] - o[d]) * coeff;
+      ds[d] += g;
+      dr[d] += g;
+      do_[d] -= g;
+    }
+  } else {
+    const int64_t half = dim / 2;
+    for (int64_t d = 0; d < half; ++d) {
+      const float sr = s[d], si = s[d + half];
+      const float rr = r[d], ri = r[d + half];
+      const float onr = o[d], oni = o[d + half];
+      ds[d] += coeff * (rr * onr + ri * oni);
+      ds[d + half] += coeff * (rr * oni - ri * onr);
+      dr[d] += coeff * (sr * onr + si * oni);
+      dr[d + half] += coeff * (sr * oni - si * onr);
+      do_[d] += coeff * (sr * rr - si * ri);
+      do_[d + half] += coeff * (sr * ri + si * rr);
+    }
+  }
+}
+
+struct RefBatch {
+  Tensor reprs;
+  Tensor rel;
+  std::vector<int64_t> src, dst, negs;
+  std::vector<int32_t> rels;
+};
+
+// Reference LossAndGrad: both sides, each over kComputeGrainEdges chunks whose
+// gradients land in zeroed partials folded in ascending chunk order (a single
+// chunk accumulates directly). Counts the pairs whose coefficient was exactly 0.
+float RefLossAndGrad(RefKind kind, const RefBatch& b, Tensor* d_reprs, Tensor* rel_grad,
+                     int64_t* zero_coeffs) {
+  const int64_t dim = b.reprs.cols();
+  const int64_t batch = static_cast<int64_t>(b.src.size());
+  const int64_t m = static_cast<int64_t>(b.negs.size());
+  const float inv_b = 0.5f / static_cast<float>(batch);
+  float total = 0.0f;
+  for (bool corrupt_src : {false, true}) {
+    auto run_edges = [&](int64_t begin, int64_t end, Tensor* d_out, Tensor* r_out) {
+      std::vector<float> logits(static_cast<size_t>(m) + 1), probs(logits.size());
+      double loss = 0.0;
+      for (int64_t i = begin; i < end; ++i) {
+        const int64_t si = b.src[static_cast<size_t>(i)], oi = b.dst[static_cast<size_t>(i)];
+        const int32_t rel = b.rels[static_cast<size_t>(i)];
+        const float* s = b.reprs.RowPtr(si);
+        const float* o = b.reprs.RowPtr(oi);
+        const float* r = b.rel.RowPtr(rel);
+        logits[0] = RefScore(kind, s, r, o, dim);
+        for (int64_t j = 0; j < m; ++j) {
+          const float* n = b.reprs.RowPtr(b.negs[static_cast<size_t>(j)]);
+          logits[static_cast<size_t>(j) + 1] =
+              corrupt_src ? RefScore(kind, n, r, o, dim) : RefScore(kind, s, r, n, dim);
+        }
+        float maxv = logits[0];
+        for (float v : logits) {
+          maxv = std::max(maxv, v);
+        }
+        double denom = 0.0;
+        for (size_t j = 0; j < logits.size(); ++j) {
+          probs[j] = std::exp(logits[j] - maxv);
+          denom += probs[j];
+        }
+        const float inv_denom = static_cast<float>(1.0 / denom);
+        for (auto& p : probs) {
+          p *= inv_denom;
+        }
+        loss -= std::log(std::max(probs[0], 1e-12f));
+        float* ds = d_out->RowPtr(si);
+        float* do_ = d_out->RowPtr(oi);
+        float* dr = r_out->RowPtr(rel);
+        RefScoreBackward(kind, s, r, o, (probs[0] - 1.0f) * inv_b, dim, ds, dr, do_);
+        for (int64_t j = 0; j < m; ++j) {
+          const int64_t nrow = b.negs[static_cast<size_t>(j)];
+          const float coeff = probs[static_cast<size_t>(j) + 1] * inv_b;
+          if (coeff == 0.0f) {
+            ++*zero_coeffs;
+            continue;
+          }
+          const float* n = b.reprs.RowPtr(nrow);
+          float* dn = d_out->RowPtr(nrow);
+          if (corrupt_src) {
+            RefScoreBackward(kind, n, r, o, coeff, dim, dn, dr, do_);
+          } else {
+            RefScoreBackward(kind, s, r, n, coeff, dim, ds, dr, dn);
+          }
+        }
+      }
+      return loss;
+    };
+    const int64_t chunks = ComputeChunkCount(batch, kComputeGrainEdges);
+    double loss = 0.0;
+    if (chunks <= 1) {
+      loss = run_edges(0, batch, d_reprs, rel_grad);
+    } else {
+      for (int64_t c = 0; c < chunks; ++c) {
+        const int64_t begin = c * kComputeGrainEdges;
+        const int64_t end = std::min(begin + kComputeGrainEdges, batch);
+        Tensor d_part(d_reprs->rows(), dim), r_part(rel_grad->rows(), dim);
+        loss += run_edges(begin, end, &d_part, &r_part);
+        // Fold only the rows this chunk touched, each once.
+        std::vector<bool> row_seen(static_cast<size_t>(d_reprs->rows()));
+        std::vector<bool> rel_seen(static_cast<size_t>(rel_grad->rows()));
+        std::vector<int64_t> rows(b.negs);
+        std::vector<int64_t> rel_rows;
+        for (int64_t i = begin; i < end; ++i) {
+          rows.push_back(b.src[static_cast<size_t>(i)]);
+          rows.push_back(b.dst[static_cast<size_t>(i)]);
+          rel_rows.push_back(b.rels[static_cast<size_t>(i)]);
+        }
+        auto fold = [](Tensor* acc, const Tensor& part, const std::vector<int64_t>& rs,
+                       std::vector<bool>& seen) {
+          for (int64_t row : rs) {
+            if (seen[static_cast<size_t>(row)]) continue;
+            seen[static_cast<size_t>(row)] = true;
+            for (int64_t c = 0; c < acc->cols(); ++c) {
+              acc->RowPtr(row)[c] += part.RowPtr(row)[c];
+            }
+          }
+        };
+        fold(d_reprs, d_part, rows, row_seen);
+        fold(rel_grad, r_part, rel_rows, rel_seen);
+      }
+    }
+    total += static_cast<float>(loss * inv_b);
+  }
+  return total;
+}
+
+RefBatch MakeRefBatch(int64_t dim, int64_t m, int64_t batch, float repr_std, Rng& rng) {
+  RefBatch b;
+  const int64_t rows = 40;  // few rows: repeated negatives, self-loops, overlaps
+  b.reprs = Tensor::Normal(rows, dim, repr_std, rng);
+  b.src.resize(static_cast<size_t>(batch));
+  b.dst.resize(static_cast<size_t>(batch));
+  b.rels.resize(static_cast<size_t>(batch));
+  for (int64_t i = 0; i < batch; ++i) {
+    b.src[static_cast<size_t>(i)] = static_cast<int64_t>(rng.UniformInt(rows));
+    b.dst[static_cast<size_t>(i)] = static_cast<int64_t>(rng.UniformInt(rows));
+    b.rels[static_cast<size_t>(i)] = static_cast<int32_t>(rng.UniformInt(3));
+  }
+  b.negs.resize(static_cast<size_t>(m));
+  for (auto& v : b.negs) v = static_cast<int64_t>(rng.UniformInt(rows));
+  // The first edge's source and destination rows are negatives too.
+  b.negs[0] = b.src[0];
+  b.negs[static_cast<size_t>(m - 1)] = b.dst[0];
+  return b;
+}
+
+TEST(DecoderKernel, BitwiseMatchesPerPairReference) {
+  const std::pair<const char*, RefKind> decoders[] = {{"distmult", RefKind::kDistMult},
+                                                      {"transe", RefKind::kTransE},
+                                                      {"complex", RefKind::kComplEx}};
+  ThreadPool pool(4);
+  ComputeContext pooled;
+  pooled.pool = &pool;
+  for (const auto& [name, kind] : decoders) {
+    int64_t zero_coeffs_wide = 0;
+    for (int64_t dim : {2, 6, 32}) {
+      for (int64_t m : {1, 15, 16, 17, 100}) {
+        for (int64_t batch : {37, 300}) {
+          // std 0.6 keeps every coefficient nonzero; std 6 with relations scaled
+          // by 20 spreads the logits far enough that some exp() underflow to 0.
+          for (bool wide : {false, true}) {
+            Rng rng(static_cast<uint64_t>(dim * 7919 + m * 104729 + batch * 31 + wide));
+            auto decoder = MakeDecoder(name, 3, dim, rng);
+            Tensor& rel_value = decoder->Parameters()[0]->value;
+            if (wide) {
+              Scale(rel_value, 20.0f);
+            }
+            RefBatch b = MakeRefBatch(dim, m, batch, wide ? 6.0f : 0.6f, rng);
+            b.rel = rel_value;
+            Tensor ref_d(b.reprs.rows(), dim), ref_rel(b.rel.rows(), dim);
+            int64_t zero_coeffs = 0;
+            const float ref_loss = RefLossAndGrad(kind, b, &ref_d, &ref_rel, &zero_coeffs);
+            if (wide) {
+              zero_coeffs_wide += zero_coeffs;
+            }
+            for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                              static_cast<const ComputeContext*>(&pooled)}) {
+              decoder->set_compute(ctx);
+              decoder->Parameters()[0]->ZeroGrad();
+              Tensor d(b.reprs.rows(), dim);
+              const float loss = decoder->LossAndGrad(b.reprs, b.src, b.dst, b.rels, b.negs, &d);
+              const std::string where = std::string(name) + " dim=" + std::to_string(dim) +
+                                        " m=" + std::to_string(m) +
+                                        " batch=" + std::to_string(batch) +
+                                        (wide ? " wide" : "") + (ctx ? " pool4" : " serial");
+              EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(float)), 0) << where;
+              EXPECT_TRUE(BitwiseEqual(d, ref_d)) << where << ": d_reprs";
+              EXPECT_TRUE(BitwiseEqual(decoder->Parameters()[0]->grad, ref_rel))
+                  << where << ": relation grad";
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(zero_coeffs_wide, 0) << name << ": no exactly-zero coefficient exercised";
+  }
+}
+
+TEST(DecoderKernel, ScoreCandidatesBitwiseMatchesReference) {
+  const std::pair<const char*, RefKind> decoders[] = {{"distmult", RefKind::kDistMult},
+                                                      {"transe", RefKind::kTransE},
+                                                      {"complex", RefKind::kComplEx}};
+  ThreadPool pool(4);
+  ComputeContext pooled;
+  pooled.pool = &pool;
+  for (const auto& [name, kind] : decoders) {
+    for (int64_t dim : {2, 6, 32}) {
+      Rng rng(static_cast<uint64_t>(dim));
+      auto decoder = MakeDecoder(name, 3, dim, rng);
+      const Tensor& rel = decoder->Parameters()[0]->value;
+      Tensor reprs = Tensor::Normal(60, dim, 1.0f, rng);
+      std::vector<int64_t> cands(1500);  // > kComputeGrainCandidates: two chunks
+      for (auto& v : cands) v = static_cast<int64_t>(rng.UniformInt(60));
+      for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                        static_cast<const ComputeContext*>(&pooled)}) {
+        decoder->set_compute(ctx);
+        for (bool corrupt_src : {false, true}) {
+          std::vector<float> got;
+          decoder->ScoreCandidates(reprs, 5, 2, cands, corrupt_src, &got);
+          ASSERT_EQ(got.size(), cands.size());
+          for (size_t j = 0; j < cands.size(); ++j) {
+            const float* c = reprs.RowPtr(cands[j]);
+            const float* fixed = reprs.RowPtr(5);
+            const float want = corrupt_src ? RefScore(kind, c, rel.RowPtr(2), fixed, dim)
+                                           : RefScore(kind, fixed, rel.RowPtr(2), c, dim);
+            ASSERT_EQ(std::memcmp(&got[j], &want, sizeof(float)), 0)
+                << name << " dim=" << dim << " candidate " << j
+                << (corrupt_src ? " src side" : " dst side");
+          }
+        }
+      }
     }
   }
 }

@@ -407,6 +407,36 @@ TEST(OpsDeterminism, MatmulTransBAcrossPools) {
   });
 }
 
+// MatmulTransB computes several output columns per pass; each must still round
+// exactly like a plain dot product summing kk ascending from 0. Ragged column
+// counts (n not a multiple of the pass width) exercise the padded last pass.
+TEST(OpsDeterminism, MatmulTransBMatchesScalarDotProducts) {
+  const int64_t shapes[][3] = {{1, 1, 1}, {3, 5, 7}, {70, 33, 9}, {130, 32, 17}, {65, 6, 32}};
+  for (const auto& shape : shapes) {
+    const int64_t m = shape[0], k = shape[1], n = shape[2];
+    Rng rng(static_cast<uint64_t>(m * 1000 + k * 10 + n));
+    Tensor a = Tensor::Normal(m, k, 1.0f, rng);
+    Tensor b = Tensor::Normal(n, k, 1.0f, rng);
+    Tensor ref(m, n);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        float s = 0.0f;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          s += a(i, kk) * b(j, kk);
+        }
+        ref(i, j) = s;
+      }
+    }
+    ExpectBitwiseIdenticalAcrossPools([&](const ComputeContext* ctx) {
+      const Tensor c = MatmulTransB(a, b, ctx);
+      EXPECT_EQ(std::memcmp(c.data(), ref.data(), static_cast<size_t>(ref.size()) * sizeof(float)),
+                0)
+          << "m=" << m << " k=" << k << " n=" << n;
+      return c;
+    });
+  }
+}
+
 TEST(OpsDeterminism, SumRowsOrderedReductionAcrossPools) {
   // SumRows folds per-chunk partials in ascending chunk order; with 5 chunks the
   // float sum order is fixed, so every pool size must reproduce the same bits.
