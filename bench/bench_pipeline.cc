@@ -1,5 +1,6 @@
 // Pipeline bench: serial vs pipelined (1 and N batch-construction workers) epoch
-// time for link prediction, in-memory and disk modes.
+// time for link prediction, in-memory and disk modes, plus the shipped-default
+// configuration.
 //
 // "serial" is the fully synchronous baseline of Figure 2 without pipelining: batch
 // construction blocks compute and every partition load/write-back stalls the epoch.
@@ -41,9 +42,7 @@ struct PipelineRun {
   double sample_seconds = 0.0;
   double io_stall_seconds = 0.0;
   double compute_efficiency = 1.0;
-  double queue_occupancy_mean = 0.0;   // last epoch, fraction of queue capacity
-  std::vector<int> workers_per_set;    // last epoch's per-set worker decisions
-  int resize_count = 0;                // mid-epoch resizes across all epochs
+  double queue_occupancy_mean = 0.0;  // last epoch, fraction of queue capacity
   // IO-engine counters, summed over the epochs (zero when the engine is off).
   uint64_t io_read_bytes = 0;
   uint64_t io_write_bytes = 0;
@@ -110,16 +109,10 @@ void WriteJson(const std::string& path, bool all_identical) {
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& r = rows[i];
-    std::string workers = "[";
-    for (size_t w = 0; w < r.run.workers_per_set.size(); ++w) {
-      workers += (w == 0 ? "" : ",") + std::to_string(r.run.workers_per_set[w]);
-    }
-    workers += "]";
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"name\": \"%s\", \"epoch_sec\": %.6f, "
                  "\"sample_sec\": %.6f, \"io_stall_sec\": %.6f, \"par_eff\": %.4f, "
-                 "\"queue_occ\": %.4f, \"workers_per_set\": %s, "
-                 "\"resize_count\": %d, "
+                 "\"queue_occ\": %.4f, "
                  "\"io_read_bytes\": %llu, \"io_write_bytes\": %llu, "
                  "\"io_queue_depth_mean\": %.4f, \"io_inflight_peak\": %d, "
                  "\"comm_sec\": %.6f, \"comm_bytes\": %llu, "
@@ -130,7 +123,7 @@ void WriteJson(const std::string& path, bool all_identical) {
                  "\"identical\": %s}%s\n",
                  r.mode.c_str(), r.name.c_str(), r.run.epoch_seconds,
                  r.run.sample_seconds, r.run.io_stall_seconds, r.run.compute_efficiency,
-                 r.run.queue_occupancy_mean, workers.c_str(), r.run.resize_count,
+                 r.run.queue_occupancy_mean,
                  static_cast<unsigned long long>(r.run.io_read_bytes),
                  static_cast<unsigned long long>(r.run.io_write_bytes),
                  r.run.io_queue_depth_mean, r.run.io_inflight_peak,
@@ -149,25 +142,28 @@ void WriteJson(const std::string& path, bool all_identical) {
   std::printf("wrote %s\n", path.c_str());
 }
 
-// `shared_pool` != nullptr enables the stage-3 parallel kernels AND routes the
-// pipeline workers onto the same pool — the production default's contention path
-// (compute helpers only enlist threads the sampling workers leave idle).
-// `controller` turns the in-epoch PipelineController on (per-partition-set
-// windows, mid-epoch resizes); every other row pins the worker count so the CI
-// regression gate measures the same fixed configuration on every host.
-PipelineRun Run(const Graph& graph, bool disk, int workers,
-                ThreadPool* shared_pool = nullptr, bool controller = false,
+// Pipeline settings of a pinned row, so the CI regression gate measures the same
+// configuration on every host. workers == 0 is the fully synchronous baseline: no
+// pipeline, no prefetch. `shared_pool` != nullptr enables the stage-3 parallel
+// kernels AND routes the pipeline workers onto the same pool — the production
+// default's contention path (compute helpers only enlist threads the sampling
+// workers leave idle).
+PipelineOptions Pinned(int workers, ThreadPool* shared_pool = nullptr) {
+  PipelineOptions pipeline;
+  pipeline.enabled = workers > 0;
+  pipeline.workers = workers;
+  pipeline.parallel_compute = shared_pool != nullptr;
+  pipeline.compute_pool = shared_pool;
+  pipeline.pipeline_pool = shared_pool;
+  return pipeline;
+}
+
+// Partition prefetch follows the pipeline: on whenever batches are pipelined.
+PipelineRun Run(const Graph& graph, bool disk, const PipelineOptions& pipeline,
                 int io_queue_depth = 4, bool io_direct = true) {
   TrainingConfig config = BaseConfig();
-  // workers == 0 is the fully synchronous baseline: no pipeline, no prefetch.
-  config.pipeline.enabled = workers > 0;
-  config.pipeline.workers = workers;
-  config.storage.prefetch = workers > 0;
-  config.pipeline.parallel_compute = shared_pool != nullptr;
-  config.pipeline.compute_pool = shared_pool;
-  config.pipeline.pipeline_pool = shared_pool;
-  config.pipeline.adaptive_workers = controller;
-  config.pipeline.adaptive_within_epoch = true;
+  config.pipeline = pipeline;
+  config.storage.prefetch = pipeline.enabled;
   config.storage.io_queue_depth = io_queue_depth;
   config.storage.io_direct = io_direct;
   if (disk) {
@@ -194,8 +190,6 @@ PipelineRun Run(const Graph& graph, bool disk, int workers,
     result.io_stall_seconds += stats.io_stall_seconds;
     result.compute_efficiency = stats.compute_parallel_efficiency;
     result.queue_occupancy_mean = stats.queue_occupancy_mean;
-    result.workers_per_set = stats.workers_per_set;
-    result.resize_count += stats.resize_count;
     result.io_read_bytes += stats.io_read_bytes;
     result.io_write_bytes += stats.io_write_bytes;
     result.io_queue_depth_mean = stats.io_queue_depth_mean;
@@ -223,7 +217,7 @@ bool RunMode(const Graph& graph, bool disk) {
   std::printf("\n%-18s %12s %12s %12s %8s %10s %8s\n",
               disk ? "disk" : "in-memory", "epoch_sec", "sample_sec", "io_stall_sec",
               "par_eff", "loss", "mrr");
-  const PipelineRun serial = Run(graph, disk, /*workers=*/0);
+  const PipelineRun serial = Run(graph, disk, Pinned(/*workers=*/0));
   std::printf("%-18s %12.4f %12.4f %12.4f %8s %10.5f %8.4f\n", "serial",
               serial.epoch_seconds, serial.sample_seconds, serial.io_stall_seconds,
               "-", serial.loss, serial.mrr);
@@ -242,7 +236,7 @@ bool RunMode(const Graph& graph, bool disk) {
     return identical;
   };
   for (int workers : {1, 4}) {
-    const PipelineRun run = Run(graph, disk, workers);
+    const PipelineRun run = Run(graph, disk, Pinned(workers));
     std::printf("pipelined(w=%d)     %12.4f %12.4f %12.4f %8s %10.5f %8.4f\n", workers,
                 run.epoch_seconds, run.sample_seconds, run.io_stall_seconds, "-",
                 run.loss, run.mrr);
@@ -254,42 +248,25 @@ bool RunMode(const Graph& graph, bool disk) {
   // genuinely shared by sampling workers and compute chunks (the production
   // default's contention path). Trajectories must still be bitwise-identical;
   // par_eff reports how well the compute chunks scaled on this host.
-  PipelineRun fixed_split;
   {
     ThreadPool shared_pool(8);
-    fixed_split = Run(graph, disk, /*workers=*/4, &shared_pool);
+    const PipelineRun run = Run(graph, disk, Pinned(/*workers=*/4, &shared_pool));
     std::printf("pipelined+par(t=8) %12.4f %12.4f %12.4f %8.2f %10.5f %8.4f\n",
-                fixed_split.epoch_seconds, fixed_split.sample_seconds,
-                fixed_split.io_stall_seconds, fixed_split.compute_efficiency,
-                fixed_split.loss, fixed_split.mrr);
-    const bool identical = check("pipelined+par", fixed_split);
-    JsonRows().push_back({mode, "pipelined_par_t8", fixed_split, identical});
-  }
-  // Same shared-pool configuration with the in-epoch PipelineController on: the
-  // stage-1 worker count now follows the queue-depth + efficiency signals at
-  // partition-set boundaries (mid-epoch in disk mode). The trajectory must stay
-  // bitwise-identical — the controller only ever moves the worker split — and the
-  // epoch time should be no worse than the fixed split it replaces.
-  {
-    ThreadPool shared_pool(8);
-    const PipelineRun run =
-        Run(graph, disk, /*workers=*/4, &shared_pool, /*controller=*/true);
-    std::string workers = "[";
-    for (size_t w = 0; w < run.workers_per_set.size(); ++w) {
-      workers += (w == 0 ? "" : " ") + std::to_string(run.workers_per_set[w]);
-    }
-    workers += "]";
-    std::printf("controller(t=8)    %12.4f %12.4f %12.4f %8.2f %10.5f %8.4f\n",
                 run.epoch_seconds, run.sample_seconds, run.io_stall_seconds,
                 run.compute_efficiency, run.loss, run.mrr);
-    std::printf(
-        "  controller decisions: workers_per_set=%s resizes=%d queue_occ=%.2f\n",
-        workers.c_str(), run.resize_count, run.queue_occupancy_mean);
-    const bool identical = check("controller", run);
-    std::printf("  controller vs fixed split: %+6.1f%% epoch time\n",
-                100.0 * (run.epoch_seconds - fixed_split.epoch_seconds) /
-                    fixed_split.epoch_seconds);
-    JsonRows().push_back({mode, "controller_t8", run, identical});
+    const bool identical = check("pipelined+par", run);
+    JsonRows().push_back({mode, "pipelined_par_t8", run, identical});
+  }
+  // The shipped default: PipelineOptions untouched — default worker count,
+  // stage-3 parallel compute on, sampling workers and compute chunks sharing
+  // ThreadPool::Global(). The trajectory must still be bitwise-identical.
+  {
+    const PipelineRun run = Run(graph, disk, PipelineOptions());
+    std::printf("default            %12.4f %12.4f %12.4f %8.2f %10.5f %8.4f\n",
+                run.epoch_seconds, run.sample_seconds, run.io_stall_seconds,
+                run.compute_efficiency, run.loss, run.mrr);
+    const bool identical = check("default", run);
+    JsonRows().push_back({mode, "default", run, identical});
   }
   // IO-engine queue-depth sweep (disk only): same w=4 pipelined configuration at
   // engine depths 1/4/16, buffered and direct. Loss/MRR must be identical in
@@ -302,8 +279,7 @@ bool RunMode(const Graph& graph, bool disk) {
     double qd16_stall = 0.0;
     for (const bool direct : {false, true}) {
       for (const int qd : {1, 4, 16}) {
-        const PipelineRun run = Run(graph, disk, /*workers=*/4, nullptr,
-                                    /*controller=*/false, qd, direct);
+        const PipelineRun run = Run(graph, disk, Pinned(/*workers=*/4), qd, direct);
         const std::string name =
             "qd" + std::to_string(qd) + (direct ? "_direct" : "_buffered");
         std::printf("  %-16s %12.4f %12s %12.4f %8s %10.5f %8.4f  (depth_mean=%.2f peak=%d)\n",

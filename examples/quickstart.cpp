@@ -30,20 +30,16 @@ int main() {
   config.batch_size = 1000;
   config.num_negatives = 64;
 
-  // 3. Train and evaluate. The in-epoch PipelineController (on by default)
-  //    rebalances stage-1 sampling workers vs stage-3 compute chunks from queue
-  //    occupancy + compute efficiency; its per-set decisions are in EpochStats.
+  // 3. Train and evaluate. One stage-1 sampling worker (the default) builds
+  //    batches ahead of compute; queue_occ is how full it kept the pipeline
+  //    queue (fraction of capacity, time-weighted).
   LinkPredictionTrainer trainer(&graph, config);
   for (int epoch = 1; epoch <= 5; ++epoch) {
     const EpochStats stats = trainer.TrainEpoch();
     const double mrr = trainer.EvaluateMrr(/*num_negatives=*/200, /*max_edges=*/500);
-    std::printf("epoch %d: loss=%.4f  time=%.2fs  MRR=%.4f  workers/set=[", epoch,
-                stats.loss, stats.wall_seconds, mrr);
-    for (size_t s = 0; s < stats.workers_per_set.size(); ++s) {
-      std::printf("%s%d", s == 0 ? "" : " ", stats.workers_per_set[s]);
-    }
-    std::printf("]  resizes=%d  queue_occ=%.2f  hash=%016llx  rv=%llu\n",
-                stats.resize_count, stats.queue_occupancy_mean,
+    std::printf("epoch %d: loss=%.4f  time=%.2fs  MRR=%.4f  queue_occ=%.2f  "
+                "hash=%016llx  rv=%llu\n",
+                epoch, stats.loss, stats.wall_seconds, mrr, stats.queue_occupancy_mean,
                 static_cast<unsigned long long>(stats.determinism_hash),
                 static_cast<unsigned long long>(stats.rv_violations));
   }

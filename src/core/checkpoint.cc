@@ -157,16 +157,12 @@ int64_t Checkpoint::scalar(const std::string& name, int64_t fallback) const {
 
 void BuildTrainerCheckpointRequest(const std::string& kind, uint64_t run_seed,
                                    int64_t epochs_completed, const Rng& rng,
-                                   const PipelineController& controller,
                                    const std::vector<Parameter*>& params,
                                    CheckpointSaveRequest* out) {
   out->kind = kind;
   out->run_seed = run_seed;
   out->epoch = static_cast<uint64_t>(epochs_completed);
   rng.SaveState(out->rng_state);
-  out->scalars.emplace_back("controller_workers", controller.workers());
-  out->scalars.emplace_back("controller_cooldown",
-                            controller.queue_cooldown_remaining());
   for (size_t i = 0; i < params.size(); ++i) {
     out->sections.push_back(
         TensorSectionSpec(ParamSectionName(i, "value"), params[i]->value));
@@ -178,8 +174,7 @@ void BuildTrainerCheckpointRequest(const std::string& kind, uint64_t run_seed,
 void RestoreTrainerCheckpointCore(CheckpointReader& reader, const std::string& kind,
                                   uint64_t run_seed, size_t extra_sections,
                                   const std::vector<Parameter*>& params, Rng* rng,
-                                  int64_t* epochs_completed,
-                                  PipelineController* controller) {
+                                  int64_t* epochs_completed) {
   const CheckpointManifest& m = reader.manifest();
   MG_CHECK_MSG(m.kind == kind,
                "checkpoint was written by a different trainer kind");
@@ -203,9 +198,6 @@ void RestoreTrainerCheckpointCore(CheckpointReader& reader, const std::string& k
   }
   rng->RestoreState(m.rng_state);
   *epochs_completed = static_cast<int64_t>(m.epoch);
-  controller->RestoreState(
-      static_cast<int>(m.scalar("controller_workers", controller->workers())),
-      static_cast<int>(m.scalar("controller_cooldown", 0)));
 }
 
 // ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "src/nn/parameter.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/tensor/tensor.h"
 #include "src/util/binary_io.h"
 #include "src/util/rng.h"
@@ -73,7 +72,7 @@ struct Checkpoint {
   uint64_t epoch = 0;
   // Full xoshiro256** state of the trainer RNG at the epoch boundary.
   uint64_t rng_state[4] = {0, 0, 0, 0};
-  // Small named integers (e.g. the pipeline controller's worker decision).
+  // Small named integers (e.g. the last epoch's determinism hash).
   std::vector<std::pair<std::string, int64_t>> scalars;
   // Named tensor sections in a fixed, kind-defined order: weight parameter
   // values/accumulators, then embedding values/accumulators.
@@ -303,7 +302,7 @@ void RestoreParamFromCheckpoint(Parameter* p, const Tensor& value,
                                 const Tensor& state);
 
 // The save/restore core both trainers share — kind tag, run seed, epoch count,
-// RNG words, controller scalars, and the model-parameter sections — lives here
+// RNG words, and the model-parameter sections — lives here
 // so the validation sequence cannot drift between the two trainers. Trainers
 // append any extra sections (e.g. the link-prediction embedding table) on top;
 // RestoreTrainerCheckpointCore verifies the total section count is exactly
@@ -311,14 +310,12 @@ void RestoreParamFromCheckpoint(Parameter* p, const Tensor& value,
 // reader (no whole-checkpoint materialisation).
 void BuildTrainerCheckpointRequest(const std::string& kind, uint64_t run_seed,
                                    int64_t epochs_completed, const Rng& rng,
-                                   const PipelineController& controller,
                                    const std::vector<Parameter*>& params,
                                    CheckpointSaveRequest* out);
 void RestoreTrainerCheckpointCore(CheckpointReader& reader, const std::string& kind,
                                   uint64_t run_seed, size_t extra_sections,
                                   const std::vector<Parameter*>& params, Rng* rng,
-                                  int64_t* epochs_completed,
-                                  PipelineController* controller);
+                                  int64_t* epochs_completed);
 
 }  // namespace mariusgnn
 

@@ -1,8 +1,8 @@
 // Training configuration and per-epoch statistics shared by both trainers.
 //
 // The knob list is grouped into sub-structs by subsystem — StorageOptions
-// (partition buffer + IO engine), PipelineOptions (async pipeline + adaptive
-// controller + compute parallelism), CheckpointOptions (crash-safe snapshots) —
+// (partition buffer + IO engine), PipelineOptions (async pipeline + compute
+// parallelism), CheckpointOptions (crash-safe snapshots) —
 // so callers configure one subsystem at a time and new knobs land next to their
 // neighbors.
 #ifndef SRC_CORE_CONFIG_H_
@@ -18,7 +18,6 @@
 #include "src/core/model.h"
 #include "src/graph/neighbor_index.h"
 #include "src/nn/encoder.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/pipeline/training_pipeline.h"
 #include "src/storage/disk.h"
 #include "src/storage/partition_buffer.h"
@@ -50,13 +49,17 @@ struct StorageOptions {
   std::string dir;  // defaults to a fresh temp path
 };
 
-// Async batch-construction pipeline, the in-epoch adaptive controller on top of
-// it, and stage-3 compute parallelism (src/pipeline/, src/util/compute.h).
+// Async batch-construction pipeline and stage-3 compute parallelism
+// (src/pipeline/, src/util/compute.h).
 struct PipelineOptions {
   bool enabled = true;  // overlap sampling with compute
-  // Batch-construction workers when pipelined (TrainingPipeline). Worker count never
-  // changes results: batches are derived from per-batch seeds and consumed in order.
-  int workers = 2;
+  // Stage-1 batch-construction workers when pipelined, fixed for the epoch. Worker
+  // count never changes results: batches are derived from per-batch seeds and
+  // consumed in order. On a 4-vCPU host one worker was as fast as two or faster
+  // for both trainers (link prediction on the perfbench graphs, GraphSage node
+  // classification on PapersMini(0.5)); with parallel_compute on, extra workers
+  // compete with the stage-3 chunks for pool threads.
+  int workers = 1;
   int64_t queue_capacity = 4;  // prepared batches buffered ahead of compute
   // Stage-3 compute parallelism: run the hot kernels (matmuls, neighbor
   // aggregation, ranking loss, sparse Adagrad) in fixed chunks on the shared
@@ -64,33 +67,6 @@ struct PipelineOptions {
   // and reduction order depend only on tensor shapes (src/util/compute.h), so
   // serial and N-thread runs are bitwise-identical.
   bool parallel_compute = true;
-  // Adaptive stage-1/stage-3 pool split (PipelineController): while a window's
-  // compute_parallel_efficiency sits below par_eff_low (compute chunks starved of
-  // pool threads by epoch-long sampling workers), the next window runs one fewer
-  // sampling worker, down to min_workers; while it sits above par_eff_high,
-  // workers grow back toward `workers`. In the dead band the controller refines
-  // with queue back-pressure: time-weighted queue occupancy above queue_high
-  // (fraction of capacity) shrinks, occupancy below queue_low with real consumer
-  // stalls grows, and IO-bound windows hold. Worker count never affects results
-  // (per-batch seeds + in-order consumption), so the rebalance preserves
-  // bitwise-identical trajectories.
-  bool adaptive_workers = true;
-  // Observation granularity: true = one window per partition set, with worker
-  // resizes applied mid-epoch at set boundaries (PipelineSession::Resize); false =
-  // the legacy epoch-boundary fallback (also disables the queue-depth signal).
-  bool adaptive_within_epoch = true;
-  double par_eff_low = 0.40;
-  double par_eff_high = 0.85;
-  double queue_low = 0.25;
-  double queue_high = 0.75;
-  double io_stall_hold_fraction = 0.50;
-  double stall_grow_fraction = 0.05;
-  // Queue-rule decision cool-down: after any worker resize, the queue
-  // back-pressure rules stay quiet for this many windows so the shrink/grow pair
-  // cannot ping-pong on hosts where neither split wins (the efficiency band is
-  // not gated — it has its own hysteresis).
-  int queue_cooldown_windows = 2;
-  int min_workers = 1;
   // Pool overrides for tests/benches; nullptr = ThreadPool::Global(). Pointing both
   // at one pool exercises the production default of sampling workers and compute
   // chunks sharing the global pool.
@@ -156,44 +132,15 @@ struct TrainingConfig {
   }
 
   // Pipeline settings for one epoch run, validated (both trainers drive their
-  // TrainingPipeline through this so the wiring cannot diverge). `worker_override`
-  // (>= 0) substitutes the adaptive split's current worker count when pipelined.
-  PipelineSessionOptions MakePipelineSessionOptions(int worker_override = -1) const {
+  // PipelineSession through this so the wiring cannot diverge).
+  PipelineSessionOptions MakePipelineSessionOptions() const {
     MG_CHECK_MSG(pipeline.queue_capacity > 0, "pipeline.queue_capacity must be > 0");
     MG_CHECK_MSG(pipeline.workers >= 0, "pipeline.workers must be >= 0");
     PipelineSessionOptions options;
     options.workers = pipeline.enabled ? pipeline.workers : 0;
-    if (pipeline.enabled && worker_override >= 0) {
-      options.workers = worker_override;
-    }
     options.queue_capacity = static_cast<size_t>(pipeline.queue_capacity);
     options.pool = pipeline.pipeline_pool;
     return options;
-  }
-
-  // In-epoch pipeline controller for one trainer (both trainers build theirs
-  // through this so the thresholds and gating cannot diverge). Adapting is
-  // pointless without the shared-pool contention it rebalances, so it requires
-  // both the pipeline and stage-3 parallel compute to be on;
-  // pipeline.adaptive_within_epoch selects per-partition-set windows (with
-  // mid-epoch resizes) vs the legacy epoch-boundary fallback.
-  PipelineController MakePipelineController() const {
-    PipelineControllerOptions options;
-    options.enabled =
-        pipeline.adaptive_workers && pipeline.enabled && pipeline.parallel_compute;
-    options.max_workers = pipeline.enabled ? pipeline.workers : 0;
-    options.min_workers = pipeline.min_workers;
-    options.par_eff_low = pipeline.par_eff_low;
-    options.par_eff_high = pipeline.par_eff_high;
-    options.queue_low = pipeline.queue_low;
-    options.queue_high = pipeline.queue_high;
-    options.io_stall_hold_fraction = pipeline.io_stall_hold_fraction;
-    options.stall_grow_fraction = pipeline.stall_grow_fraction;
-    options.queue_cooldown_windows = pipeline.queue_cooldown_windows;
-    options.granularity = pipeline.adaptive_within_epoch
-                              ? ControllerGranularity::kPartitionSet
-                              : ControllerGranularity::kEpoch;
-    return PipelineController(options);
   }
 
   // Partition-buffer IO mode for one trainer (both trainers build theirs through
@@ -261,13 +208,10 @@ struct EpochStats {
   uint64_t io_write_bytes = 0;
   double io_queue_depth_mean = 0.0;
   int io_inflight_peak = 0;
-  // Stage-1 sampling workers the epoch started with (after the adaptive
-  // stage-1/stage-3 split; equals the configured count when adapting is off).
-  int pipeline_workers = 0;
-  // Per-set decision record of the in-epoch controller: the worker count each
-  // partition set ran with, how many mid-epoch resizes it performed, and the
-  // time-weighted mean pipeline-queue occupancy (fraction of capacity) across the
-  // epoch's pipelined segments.
+  // Stage-1 sampling workers each partition set ran with (one entry per set), and
+  // the time-weighted mean pipeline-queue occupancy (fraction of capacity)
+  // across the epoch's pipelined segments. resize_count is always 0 (the worker
+  // count is fixed per epoch); perfbench still reads it.
   std::vector<int> workers_per_set;
   int resize_count = 0;
   double queue_occupancy_mean = 0.0;

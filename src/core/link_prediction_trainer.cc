@@ -177,13 +177,12 @@ void LinkPredictionTrainer::ConsumeBatch(PreparedBatch& batch, EpochStats* stats
 // rank r builds exactly the batches with g % world == r, seeded by
 // ReplicaBatchPartition::BatchSeed(per-set run_seed, g). For world == 1 this
 // degenerates to g == local batch and the stream is bit-identical to the
-// single-replica pipelines it replaces. The controller's worker count at epoch
-// start (== pipeline.workers when adapting is off) sizes the session; worker
-// count never affects the batch stream, only where time goes.
+// single-replica pipelines it replaces. Worker count never affects the batch
+// stream, only where time goes.
 std::unique_ptr<PipelineSession> LinkPredictionTrainer::MakeSession(
     EpochStats* stats) {
   return std::make_unique<PipelineSession>(
-      config_.MakePipelineSessionOptions(controller_.workers()),
+      config_.MakePipelineSessionOptions(),
       [this](int64_t index) -> std::shared_ptr<void> {
         const int64_t g = replica_.GlobalIndex(index - run_batch_base_);
         const int64_t begin = g * config_.batch_size;
@@ -204,13 +203,13 @@ std::unique_ptr<PipelineSession> LinkPredictionTrainer::MakeSession(
       });
 }
 
-PipelineStats LinkPredictionTrainer::RunBatches(
+void LinkPredictionTrainer::RunBatches(
     const std::vector<int64_t>& edge_ids, const NeighborIndex& index,
     const UniformNegativeSampler& negatives, PipelineSession* session,
     EpochStats* stats) {
   const int64_t total = static_cast<int64_t>(edge_ids.size());
   if (total == 0) {
-    return PipelineStats();
+    return;
   }
   // Point the samplers at this run's index once, up front; workers then only call
   // const, seed-driven sampling methods. Swapping this (and the run_* members) is
@@ -248,16 +247,6 @@ PipelineStats LinkPredictionTrainer::RunBatches(
                       config_.batch_size;
   }
   stats->AccumulatePipeline(ps, local_examples);
-  return ps;
-}
-
-void LinkPredictionTrainer::ReportSetBoundary(
-    PipelineSession* session, const PipelineStats& ps,
-    const ComputeStats& compute_before, double io_stall_delta,
-    double window_seconds, bool more_sets, EpochStats* stats) {
-  controller_.ReportSetBoundary(ps, compute_stats_, compute_before, io_stall_delta,
-                                window_seconds, more_sets, session,
-                                &stats->workers_per_set, &stats->resize_count);
 }
 
 EpochStats LinkPredictionTrainer::TrainEpochInMemory() {
@@ -272,18 +261,13 @@ EpochStats LinkPredictionTrainer::TrainEpochInMemory() {
     }
   }
   rng_.Shuffle(edge_ids);
-  stats.pipeline_workers = controller_.workers();
   std::unique_ptr<PipelineSession> session = MakeSession(&stats);
   UniformNegativeSampler negatives(graph_->num_nodes(), rng_.Next());
-  const ComputeStats compute_before = compute_stats_;
-  const PipelineStats ps =
-      RunBatches(edge_ids, *full_index_, negatives, session.get(), &stats);
+  RunBatches(edge_ids, *full_index_, negatives, session.get(), &stats);
   stats.compute_seconds = timer.Seconds();
   stats.wall_seconds = stats.compute_seconds;
-  ReportSetBoundary(session.get(), ps, compute_before, /*io_stall_delta=*/0.0,
-                    timer.Seconds(), /*more_sets=*/false, &stats);
+  stats.workers_per_set.push_back(session->workers());
   stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
-  controller_.ObserveEpoch(stats.compute_parallel_efficiency);
   stats.num_partition_sets = 1;
   if (stats.num_global_batches > 0) {
     stats.loss /= static_cast<double>(stats.num_global_batches);
@@ -296,17 +280,10 @@ EpochStats LinkPredictionTrainer::TrainEpochDisk() {
   compute_stats_.Reset();
   EpochPlan plan = policy_->GenerateEpoch(*partitioning_, config_.storage.buffer_capacity, rng_);
   stats.num_partition_sets = plan.num_sets();
-  stats.pipeline_workers = controller_.workers();
   std::unique_ptr<PipelineSession> session = MakeSession(&stats);
 
   double prev_compute = 0.0;
   for (int64_t i = 0; i < plan.num_sets(); ++i) {
-    // Controller window for this set: everything from the swap-in to the end of
-    // its training segment.
-    const ComputeStats compute_before = compute_stats_;
-    const double io_stall_before = stats.io_stall_seconds;
-    WallTimer window_timer;
-
     const double sync_io = buffer_->SetResident(plan.sets[static_cast<size_t>(i)]);
     stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(),
                            prev_compute);
@@ -353,13 +330,10 @@ EpochStats LinkPredictionTrainer::TrainEpochDisk() {
     rng_.Shuffle(train_ids);
 
     const UniformNegativeSampler negatives(buffer_->ResidentNodes(), rng_.Next());
-    const PipelineStats ps =
-        RunBatches(train_ids, index, negatives, session.get(), &stats);
+    RunBatches(train_ids, index, negatives, session.get(), &stats);
     prev_compute = set_timer.Seconds();
     stats.compute_seconds += prev_compute;
-    ReportSetBoundary(session.get(), ps, compute_before,
-                      stats.io_stall_seconds - io_stall_before,
-                      window_timer.Seconds(), i + 1 < plan.num_sets(), &stats);
+    stats.workers_per_set.push_back(session->workers());
   }
   // End-of-epoch flush: write-backs still in flight drained plus the final dirty
   // evictions. Background leftovers are charged conservatively as full stalls.
@@ -374,7 +348,6 @@ EpochStats LinkPredictionTrainer::TrainEpochDisk() {
   stats.io_inflight_peak = engine_io.inflight_peak;
   stats.wall_seconds = stats.compute_seconds + stats.io_stall_seconds;
   stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
-  controller_.ObserveEpoch(stats.compute_parallel_efficiency);
   if (stats.num_global_batches > 0) {
     stats.loss /= static_cast<double>(stats.num_global_batches);
   }

@@ -76,27 +76,18 @@ class LinkPredictionTrainer : public TrainerBase {
   void ConsumeBatch(PreparedBatch& batch, EpochStats* stats);
 
   // Builds the epoch's PipelineSession: one session spans all partition sets, so
-  // the PipelineController can resize the stage-1 worker count at set boundaries
-  // mid-epoch without flushing pipeline state. The producer closure reads the
-  // run_* members below, which RunBatches swaps between segments.
+  // the stage-1 workers launch once per epoch, not once per set. The producer
+  // closure reads the run_* members below, which RunBatches swaps between
+  // segments.
   std::unique_ptr<PipelineSession> MakeSession(EpochStats* stats);
 
   // Runs one partition set's batches of `edge_ids` (already shuffled) as a session
   // segment; config_.pipeline.enabled / pipeline.workers chose serial vs parallel
-  // construction when the session was built. Returns the segment's stage timings
-  // (also folded into `stats`).
-  PipelineStats RunBatches(const std::vector<int64_t>& edge_ids,
-                           const NeighborIndex& index,
-                           const UniformNegativeSampler& negatives,
-                           PipelineSession* session, EpochStats* stats);
-
-  // Reports a partition-set boundary into the pipeline layer: records the set's
-  // worker decision and feeds the controller its signal window (compute
-  // efficiency delta, queue occupancy, stalls); the controller may resize the
-  // session's workers for the next set.
-  void ReportSetBoundary(PipelineSession* session, const PipelineStats& ps,
-                         const ComputeStats& compute_before, double io_stall_delta,
-                         double window_seconds, bool more_sets, EpochStats* stats);
+  // construction when the session was built. The segment's stage timings are
+  // folded into `stats`.
+  void RunBatches(const std::vector<int64_t>& edge_ids, const NeighborIndex& index,
+                  const UniformNegativeSampler& negatives, PipelineSession* session,
+                  EpochStats* stats);
 
   EpochStats TrainEpochInMemory();
   EpochStats TrainEpochDisk();

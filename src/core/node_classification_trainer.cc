@@ -110,7 +110,7 @@ void NodeClassificationTrainer::ConsumeBatch(PreparedBatch& batch,
 std::unique_ptr<PipelineSession> NodeClassificationTrainer::MakeSession(
     EpochStats* stats) {
   return std::make_unique<PipelineSession>(
-      config_.MakePipelineSessionOptions(controller_.workers()),
+      config_.MakePipelineSessionOptions(),
       [this](int64_t index) -> std::shared_ptr<void> {
         const int64_t g = replica_.GlobalIndex(index - run_batch_base_);
         const int64_t begin = g * config_.batch_size;
@@ -129,12 +129,12 @@ std::unique_ptr<PipelineSession> NodeClassificationTrainer::MakeSession(
       });
 }
 
-PipelineStats NodeClassificationTrainer::RunBatches(
+void NodeClassificationTrainer::RunBatches(
     const std::vector<int64_t>& nodes, const NeighborIndex& index,
     PipelineSession* session, EpochStats* stats) {
   const int64_t total = static_cast<int64_t>(nodes.size());
   if (total == 0) {
-    return PipelineStats();
+    return;
   }
   // Point the samplers at this run's index once, up front; workers then only call
   // const, seed-driven sampling methods. Safe between segments: workers never
@@ -168,16 +168,6 @@ PipelineStats NodeClassificationTrainer::RunBatches(
                       config_.batch_size;
   }
   stats->AccumulatePipeline(ps, local_examples);
-  return ps;
-}
-
-void NodeClassificationTrainer::ReportSetBoundary(
-    PipelineSession* session, const PipelineStats& ps,
-    const ComputeStats& compute_before, double io_stall_delta,
-    double window_seconds, bool more_sets, EpochStats* stats) {
-  controller_.ReportSetBoundary(ps, compute_stats_, compute_before, io_stall_delta,
-                                window_seconds, more_sets, session,
-                                &stats->workers_per_set, &stats->resize_count);
 }
 
 EpochStats NodeClassificationTrainer::TrainEpochImpl() {
@@ -185,17 +175,14 @@ EpochStats NodeClassificationTrainer::TrainEpochImpl() {
   compute_stats_.Reset();
   std::vector<int64_t> train = graph_->train_nodes();
   rng_.Shuffle(train);
-  stats.pipeline_workers = controller_.workers();
   std::unique_ptr<PipelineSession> session = MakeSession(&stats);
 
   if (!config_.storage.use_disk) {
     WallTimer timer;
-    const ComputeStats compute_before = compute_stats_;
-    const PipelineStats ps = RunBatches(train, *full_index_, session.get(), &stats);
+    RunBatches(train, *full_index_, session.get(), &stats);
     stats.compute_seconds = timer.Seconds();
     stats.wall_seconds = stats.compute_seconds;
-    ReportSetBoundary(session.get(), ps, compute_before, /*io_stall_delta=*/0.0,
-                      timer.Seconds(), /*more_sets=*/false, &stats);
+    stats.workers_per_set.push_back(session->workers());
     stats.num_partition_sets = 1;
   } else {
     const auto sets =
@@ -206,9 +193,6 @@ EpochStats NodeClassificationTrainer::TrainEpochImpl() {
     // (in the cached regime all training partitions are resident in the single set).
     std::vector<char> partition_done(static_cast<size_t>(config_.storage.num_physical), 0);
     for (size_t i = 0; i < sets.size(); ++i) {
-      const ComputeStats compute_before = compute_stats_;
-      const double io_stall_before = stats.io_stall_seconds;
-      WallTimer window_timer;
       const double sync_io = buffer_->SetResident(sets[i]);
       stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(),
                              prev_compute);
@@ -239,17 +223,14 @@ EpochStats NodeClassificationTrainer::TrainEpochImpl() {
           subset.push_back(v);
         }
       }
-      PipelineStats ps;
       if (!subset.empty()) {
         use_buffer_features_ = true;
-        ps = RunBatches(subset, index, session.get(), &stats);
+        RunBatches(subset, index, session.get(), &stats);
         use_buffer_features_ = false;
       }
       prev_compute = set_timer.Seconds();
       stats.compute_seconds += prev_compute;
-      ReportSetBoundary(session.get(), ps, compute_before,
-                        stats.io_stall_seconds - io_stall_before,
-                        window_timer.Seconds(), i + 1 < sets.size(), &stats);
+      stats.workers_per_set.push_back(session->workers());
     }
     const IoEngineStats engine_io = buffer_->ConsumeIoStats();
     stats.io_read_bytes = engine_io.read_bytes;
@@ -259,7 +240,6 @@ EpochStats NodeClassificationTrainer::TrainEpochImpl() {
     stats.wall_seconds = stats.compute_seconds + stats.io_stall_seconds;
   }
   stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
-  controller_.ObserveEpoch(stats.compute_parallel_efficiency);
   if (stats.num_global_batches > 0) {
     stats.loss /= static_cast<double>(stats.num_global_batches);
   }

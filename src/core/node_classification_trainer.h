@@ -55,15 +55,8 @@ class NodeClassificationTrainer : public TrainerBase {
   std::unique_ptr<PipelineSession> MakeSession(EpochStats* stats);
   // Runs one partition set's batches as a session segment (serial when
   // !config_.pipeline.enabled) and folds its timings into `stats`.
-  PipelineStats RunBatches(const std::vector<int64_t>& nodes,
-                           const NeighborIndex& index, PipelineSession* session,
-                           EpochStats* stats);
-  // Reports a partition-set boundary into the pipeline layer: records the set's
-  // worker decision and feeds the controller its signal window; the controller may
-  // resize the session's workers for the next set.
-  void ReportSetBoundary(PipelineSession* session, const PipelineStats& ps,
-                         const ComputeStats& compute_before, double io_stall_delta,
-                         double window_seconds, bool more_sets, EpochStats* stats);
+  void RunBatches(const std::vector<int64_t>& nodes, const NeighborIndex& index,
+                  PipelineSession* session, EpochStats* stats);
   Tensor GatherFeatures(const std::vector<int64_t>& nodes, bool from_graph);
   Tensor InferLogits(const std::vector<int64_t>& nodes, const NeighborIndex& index);
 

@@ -14,7 +14,6 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
       config_(std::move(config)),
       rng_(config_.seed),
       compute_(config_.MakeComputeContext(&compute_stats_)),
-      controller_(config_.MakePipelineController()),
       model_(ModelState::Build(kind, *graph, config_.model_config(), rng_)) {
   model_.SetCompute(&compute_);
   exchange_ = config_.MakeGradientExchange();
@@ -142,7 +141,7 @@ size_t TrainerBase::NumExtraCheckpointSections() const { return 0; }
 void TrainerBase::SaveCheckpoint(const std::string& path) {
   CheckpointSaveRequest request;
   BuildTrainerCheckpointRequest(CheckpointKindName(model_.kind), config_.seed,
-                                epochs_completed_, rng_, controller_, model_.params,
+                                epochs_completed_, rng_, model_.params,
                                 &request);
   // Last completed epoch's determinism hash, bitcast into the named-scalar
   // list (docs/CHECKPOINT_FORMAT.md): the resumed trainer re-exposes it, so a
@@ -164,8 +163,7 @@ void TrainerBase::ResumeFrom(const std::string& path) {
   MG_CHECK_MSG(reader.VerifyDataChecksum(&error), error.c_str());
   RestoreTrainerCheckpointCore(reader, CheckpointKindName(model_.kind),
                                config_.seed, NumExtraCheckpointSections(),
-                               model_.params, &rng_, &epochs_completed_,
-                               &controller_);
+                               model_.params, &rng_, &epochs_completed_);
   const int64_t hash_bits = reader.manifest().scalar("determinism_hash", 0);
   std::memcpy(&last_determinism_hash_, &hash_bits, sizeof(last_determinism_hash_));
   RestoreCheckpointSections(reader);

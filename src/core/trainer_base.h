@@ -2,7 +2,7 @@
 // same code path and expose one checkpoint/epoch contract.
 //
 // TrainerBase holds everything task-independent — config, RNG, the stage-3
-// compute handle, the in-epoch pipeline controller, and the model — and
+// compute handle, and the model — and
 // implements TrainEpoch (epoch counting + auto-checkpoint), SaveCheckpoint, and
 // ResumeFrom once. Derived trainers implement TrainEpochImpl plus the checkpoint
 // extra-section hooks (the link-prediction embedding table; node classification
@@ -19,7 +19,6 @@
 #include "src/core/config.h"
 #include "src/core/model.h"
 #include "src/graph/graph.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/util/compute.h"
 #include "src/util/rng.h"
 #include "src/util/rv_monitor.h"
@@ -66,7 +65,7 @@ class TrainerBase {
 
  protected:
   // Builds the ModelState (validating the config for `kind`) and the shared
-  // compute/controller wiring. Derived ctors add task storage on top; any RNG
+  // compute wiring. Derived ctors add task storage on top; any RNG
   // draws they make come after the model's, preserving historical draw order.
   TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kind);
 
@@ -114,8 +113,6 @@ class TrainerBase {
   // EpochStats.compute_parallel_efficiency.
   ComputeStats compute_stats_;
   ComputeContext compute_;
-  // In-epoch pipeline controller (see pipeline_controller.h).
-  PipelineController controller_;
 
   // Gradient-exchange seam (src/comm/): LocalExchange identity for world=1,
   // ProcessGroupExchange for multi-replica runs. Built in the ctor, so a

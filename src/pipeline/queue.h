@@ -6,8 +6,8 @@
 // the pipeline's back-pressure signal: a queue pinned at capacity means batch
 // construction is ahead of compute (extra sampling workers are wasted), a queue
 // pinned at zero while the consumer stalls means construction is the bottleneck.
-// The PipelineController reads these windows to rebalance the stage-1/stage-3
-// worker split mid-epoch.
+// PipelineSession reports one window per segment (PipelineStats::
+// queue_occupancy_mean).
 #ifndef SRC_PIPELINE_QUEUE_H_
 #define SRC_PIPELINE_QUEUE_H_
 
@@ -72,16 +72,6 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    return PopFrontLocked();
-  }
-
-  // Non-blocking Pop: nullopt when currently empty (closed or not). Used by the
-  // pipeline's resize quiesce to drain producers that block on a full queue.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) {
       return std::nullopt;
     }
@@ -172,7 +162,7 @@ class BoundedQueue {
 
   // RV monitor (pipeline.queue_occupancy): observed under mu_ after each push
   // and at window close, so occupancy can never silently exceed capacity and the
-  // watermark bookkeeping the controller steers by stays self-consistent.
+  // watermark bookkeeping behind the occupancy stats stays self-consistent.
   RvWatermarkMonitor rv_occupancy_{RvInvariant::kQueueOccupancy};
 
   // Occupancy instrumentation, all guarded by mu_.

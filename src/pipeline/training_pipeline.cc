@@ -1,36 +1,9 @@
 #include "src/pipeline/training_pipeline.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "src/util/check.h"
 #include "src/util/timer.h"
 
 namespace mariusgnn {
-
-AdaptiveWorkerSplit::AdaptiveWorkerSplit(bool enabled, int max_workers,
-                                         int min_workers, double low_threshold,
-                                         double high_threshold)
-    : enabled_(enabled && max_workers > 0),
-      max_workers_(std::max(0, max_workers)),
-      min_workers_(std::min(std::max(1, min_workers), std::max(1, max_workers_))),
-      low_threshold_(low_threshold),
-      high_threshold_(high_threshold),
-      workers_(max_workers_) {
-  MG_CHECK(low_threshold_ <= high_threshold_);
-}
-
-int AdaptiveWorkerSplit::Observe(double compute_parallel_efficiency) {
-  if (!enabled_) {
-    return workers_;
-  }
-  if (compute_parallel_efficiency < low_threshold_ && workers_ > min_workers_) {
-    --workers_;
-  } else if (compute_parallel_efficiency > high_threshold_ && workers_ < max_workers_) {
-    ++workers_;
-  }
-  return workers_;
-}
 
 PipelineSession::PipelineSession(PipelineSessionOptions options, Producer produce,
                                  Consumer consume)
@@ -38,108 +11,55 @@ PipelineSession::PipelineSession(PipelineSessionOptions options, Producer produc
       produce_(std::move(produce)),
       consume_(std::move(consume)),
       pool_(options_.pool != nullptr ? options_.pool : &ThreadPool::Global()),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      window_(static_cast<int64_t>(options_.queue_capacity) + options_.workers) {
   MG_CHECK(options_.queue_capacity > 0);
   MG_CHECK(options_.workers >= 0);
-  if (options_.workers > 0) {
-    workers_ = options_.workers;
-    LaunchWorkers(workers_);
+  workers_left_ = options_.workers;
+  for (int w = 0; w < options_.workers; ++w) {
+    pool_->Submit([this] { WorkerLoop(); });
   }
 }
 
 PipelineSession::~PipelineSession() {
-  if (workers_ > 0) {
-    StopWorkers();
-  }
-  queue_.Close();
-}
-
-void PipelineSession::LaunchWorkers(int count) {
-  {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    window_ = static_cast<int64_t>(options_.queue_capacity) + count;
-    stop_ = false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    workers_left_ = count;
-  }
-  for (int w = 0; w < count; ++w) {
-    pool_->Submit([this] {
-      for (;;) {
-        int64_t i;
-        {
-          std::unique_lock<std::mutex> lock(gate_mu_);
-          gate_cv_.wait(lock, [this] {
-            return stop_ ||
-                   (next_ticket_ < announced_ && next_ticket_ < consumed_ + window_);
-          });
-          if (stop_) {
-            break;
-          }
-          i = next_ticket_++;
-        }
-        WallTimer timer;
-        std::shared_ptr<void> item = produce_(i);
-        sample_nanos_.fetch_add(static_cast<int64_t>(timer.Seconds() * 1e9),
-                                std::memory_order_relaxed);
-        if (!queue_.Push(Produced{i, std::move(item)})) {
-          break;  // queue closed (session teardown)
-        }
-      }
-      std::lock_guard<std::mutex> lock(done_mu_);
-      if (--workers_left_ == 0) {
-        done_cv_.notify_all();
-      }
-    });
-  }
-}
-
-void PipelineSession::StopWorkers() {
   {
     std::lock_guard<std::mutex> lock(gate_mu_);
     stop_ = true;
   }
   gate_cv_.notify_all();
-  // Workers parked on the gate exit immediately; a worker mid-produce finishes and
-  // pushes first. With the consumer idle the queue can be (or fill) full, so drain
-  // it into the reorder buffer — bounded by the window gate at window_ entries —
-  // until every worker has exited.
+  // Workers parked on the gate exit on stop_; a worker blocked in Push (or
+  // finishing a produce) sees the closed queue and exits without pushing.
+  // Unconsumed items die with the queue and the reorder buffer.
+  queue_.Close();
   std::unique_lock<std::mutex> lock(done_mu_);
-  while (workers_left_ > 0) {
-    lock.unlock();
-    while (std::optional<Produced> got = queue_.TryPop()) {
-      reorder_.emplace(got->index, std::move(got->item));
-    }
-    lock.lock();
-    done_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                      [this] { return workers_left_ == 0; });
-  }
-  lock.unlock();
-  // Items pushed between the last drain and the final worker exit.
-  while (std::optional<Produced> got = queue_.TryPop()) {
-    reorder_.emplace(got->index, std::move(got->item));
-  }
+  done_cv_.wait(lock, [this] { return workers_left_ == 0; });
 }
 
-void PipelineSession::Resize(int new_workers) {
-  MG_CHECK_MSG(workers_ >= 1, "Resize requires a threaded session (workers >= 1)");
-  MG_CHECK_MSG(new_workers >= 1, "Resize target must be >= 1 worker");
-  if (new_workers == workers_) {
-    return;
+void PipelineSession::WorkerLoop() {
+  for (;;) {
+    int64_t i;
+    {
+      std::unique_lock<std::mutex> lock(gate_mu_);
+      gate_cv_.wait(lock, [this] {
+        return stop_ || (next_ticket_ < announced_ && next_ticket_ < consumed_ + window_);
+      });
+      if (stop_) {
+        break;
+      }
+      i = next_ticket_++;
+    }
+    WallTimer timer;
+    std::shared_ptr<void> item = produce_(i);
+    sample_nanos_.fetch_add(static_cast<int64_t>(timer.Seconds() * 1e9),
+                            std::memory_order_relaxed);
+    if (!queue_.Push(Produced{i, std::move(item)})) {
+      break;  // queue closed (session teardown)
+    }
   }
-  StopWorkers();
-  {
-    // pipeline.resize_quiesce: after StopWorkers the session must be fully
-    // quiescent — no Consume delivery on the stack, every worker exited, and the
-    // queue drained into the reorder buffer — or the relaunch could race the old
-    // workers and corrupt the batch stream.
-    std::lock_guard<std::mutex> lock(done_mu_);
-    rv_quiesce_.ObserveResize(consuming_, workers_left_, queue_.Size());
+  std::lock_guard<std::mutex> lock(done_mu_);
+  if (--workers_left_ == 0) {
+    done_cv_.notify_all();
   }
-  workers_ = new_workers;
-  ++resize_count_;
-  LaunchWorkers(new_workers);
 }
 
 int64_t PipelineSession::Extend(int64_t count) {
@@ -174,7 +94,7 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   MG_CHECK(count >= 0);
   const int64_t target = consumed_ + count;
   MG_CHECK_MSG(target <= announced_, "Consume beyond the announced stream");
-  if (workers_ == 0) {
+  if (options_.workers == 0) {
     PipelineStats stats = ConsumeSerial(target);
     stats.num_items = count;
     return stats;
@@ -200,9 +120,7 @@ PipelineStats PipelineSession::Consume(int64_t count) {
     reorder_.erase(it);
     rv_ticket_.Observe(consumed_);
     WallTimer compute_timer;
-    consuming_ = true;
     consume_(item.get(), consumed_);
-    consuming_ = false;
     stats.compute_seconds += compute_timer.Seconds();
     {
       std::lock_guard<std::mutex> lock(gate_mu_);
@@ -212,7 +130,7 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   }
 
   stats.num_items = count;
-  stats.workers = workers_;
+  stats.workers = options_.workers;
   stats.sample_seconds =
       static_cast<double>(sample_nanos_.load(std::memory_order_relaxed) -
                           sample_nanos_start) *

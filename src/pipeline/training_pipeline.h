@@ -18,12 +18,9 @@
 // runs it or in which order batches finish. A window gate keeps workers at most
 // queue_capacity + workers batches ahead of the consumer, bounding memory.
 //
-// PipelineSession is the resumable form of the engine: one session spans an epoch,
-// the item stream is announced in segments (one per partition set), and the stage-1
-// worker count can be resized at any point between Consume calls — the ticket
-// counter, window gate, and reorder buffer survive the resize, so the
-// PipelineController can rebalance the stage-1/stage-3 split mid-epoch without
-// flushing the pipeline or perturbing the batch stream.
+// PipelineSession is the resumable form of the engine: one session spans an epoch
+// and the item stream is announced in segments (one per partition set). The
+// stage-1 worker count is fixed for the session's lifetime.
 //
 // The partition-IO stage of Figure 2 lives in PartitionBuffer::Prefetch (storage
 // layer); OrderingPolicy::Lookahead tells the trainer which partitions to stage next.
@@ -64,58 +61,16 @@ struct PipelineStats {
   double stall_seconds = 0.0;    // consumer time blocked waiting for the next batch
   int64_t num_items = 0;
   // Stage-1 workers the segment ran with, and the time-weighted mean occupancy of
-  // the pipeline queue over the segment as a fraction of its capacity (the
-  // back-pressure signal the PipelineController feeds on; 0 for serial runs).
+  // the pipeline queue over the segment as a fraction of its capacity (0 for
+  // serial runs).
   int workers = 0;
   double queue_occupancy_mean = 0.0;
 };
 
-// Adaptive stage-1/stage-3 pool split (the efficiency-hysteresis primitive inside
-// PipelineController, kept as its own class because the rule is independently
-// useful and independently tested). Sampling workers and compute chunks share one
-// ThreadPool; when the stage-3 kernels report low parallel efficiency it is usually
-// because epoch-long sampling workers occupy the pool and the compute helpers
-// cannot find idle threads. Shrinking the sampling-worker count hands that capacity
-// back to compute — the right trade whenever compute (not sampling) is the
-// bottleneck, because the queue is full and extra producers only wait on the
-// window gate.
-//
-// The controller moves one worker per observation with hysteresis: shrink while
-// efficiency < low_threshold, grow back while > high_threshold, hold in between.
-// It only ever changes the *worker count*, which the pipeline's determinism
-// contract guarantees can never change results (per-batch seeds + in-order
-// consumption), so the adaptive split preserves bitwise-identical loss/MRR
-// trajectories by construction even though its decisions are timing-driven.
-class AdaptiveWorkerSplit {
- public:
-  // Workers stay in [min_workers, max_workers] and start at max_workers. Disabled
-  // (or max_workers == 0, the non-pipelined mode) pins workers at max_workers.
-  AdaptiveWorkerSplit(bool enabled, int max_workers, int min_workers,
-                      double low_threshold, double high_threshold);
-
-  // Sampling workers to use for the next pipeline run.
-  int workers() const { return workers_; }
-
-  // Feeds one epoch's ComputeStats::ParallelEfficiency() and returns the updated
-  // worker count.
-  int Observe(double compute_parallel_efficiency);
-
- private:
-  bool enabled_;
-  int max_workers_;
-  int min_workers_;
-  double low_threshold_;
-  double high_threshold_;
-  int workers_;
-};
-
 // A resumable pipeline run. The logical item stream is open-ended: Extend
 // announces more items (workers may start producing them immediately, subject to
-// the window gate), Consume delivers the next `count` announced items to the
-// consumer strictly in index order, and Resize changes the stage-1 worker count
-// in place — items already produced (in the queue or the reorder buffer), the
-// ticket counter, and the consumption cursor all survive, so a resize can never
-// change what is produced or the order it is consumed in.
+// the window gate) and Consume delivers the next `count` announced items to the
+// consumer strictly in index order.
 //
 // Workers never claim an index beyond the announced limit. That is what makes
 // per-partition-set segments safe: the producer callback may read per-set state
@@ -124,7 +79,7 @@ class AdaptiveWorkerSplit {
 // announced. The swap is ordered by the gate mutex: state written before
 // Extend/Consume is visible to every worker that claims one of the new indices.
 //
-// Threading: Extend/Consume/Resize/stats must be called from the owning thread
+// Threading: Extend/Consume/stats must be called from the owning thread
 // (the consumer); the producer callback runs on pool workers and must be
 // thread-safe + index-deterministic.
 class PipelineSession {
@@ -151,14 +106,7 @@ class PipelineSession {
     return Consume(count);
   }
 
-  // Quiesces the current workers (draining any that block on the full queue into
-  // the reorder buffer), then relaunches with `new_workers`. Only valid on
-  // threaded sessions (constructed with workers >= 1) and with new_workers >= 1;
-  // a no-op when the count is unchanged. Never changes the consumed sequence.
-  void Resize(int new_workers);
-
-  int workers() const { return workers_; }
-  int resize_count() const { return resize_count_; }
+  int workers() const { return options_.workers; }
   int64_t announced() const { return announced_; }
   int64_t consumed() const { return consumed_; }
   // Current queue depth (diagnostics/tests; stale immediately).
@@ -171,10 +119,9 @@ class PipelineSession {
     std::shared_ptr<void> item;
   };
 
-  void LaunchWorkers(int count);
-  // Stops the workers and waits for them to exit, draining the queue into the
-  // reorder buffer so producers blocked on a full queue can finish their push.
-  void StopWorkers();
+  // Stage-1 worker loop: claim the next ticket through the window gate, produce,
+  // push; exits on stop_ or when the queue is closed.
+  void WorkerLoop();
   PipelineStats ConsumeSerial(int64_t target);
 
   PipelineSessionOptions options_;
@@ -185,32 +132,26 @@ class PipelineSession {
 
   // Ticket claiming and the batch-window gate. Workers claim the next index under
   // gate_mu_ only when it is below both the announced limit and consumed + window
-  // (window = queue_capacity + workers, recomputed on resize).
+  // (window = queue_capacity + workers).
+  const int64_t window_;
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
   int64_t announced_ = 0;    // guarded by gate_mu_; read lock-free by the owner
   int64_t consumed_ = 0;     // guarded by gate_mu_; read lock-free by the owner
   int64_t next_ticket_ = 0;  // guarded by gate_mu_
-  int64_t window_ = 0;       // guarded by gate_mu_
   bool stop_ = false;        // guarded by gate_mu_
 
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   int workers_left_ = 0;  // guarded by done_mu_
 
-  int workers_ = 0;  // current launched worker count (owner thread only)
-  int resize_count_ = 0;
   std::atomic<int64_t> sample_nanos_{0};
   std::map<int64_t, std::shared_ptr<void>> reorder_;  // owner thread only
 
   // RV monitors (owner thread only). rv_ticket_ observes every index handed to
   // the consumer — serial or pipelined — so any reorder-buffer slip shows up as a
-  // pipeline.ticket_order violation. rv_quiesce_ checks Resize's precondition
-  // (no active Consume delivery, all workers exited, queue drained) after
-  // StopWorkers returns; consuming_ is the mid-delivery flag it reads.
+  // pipeline.ticket_order violation.
   RvSequenceMonitor rv_ticket_{RvInvariant::kTicketOrder};
-  RvQuiesceMonitor rv_quiesce_{RvInvariant::kResizeQuiesce};
-  bool consuming_ = false;  // owner thread only
 };
 
 class TrainingPipeline {

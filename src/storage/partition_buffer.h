@@ -233,8 +233,8 @@ class PartitionBuffer {
   int64_t SlotRowOf(int64_t node) const;
   int32_t FindFreeSlot() const;
   void InstallIntoSlot(int32_t partition, int32_t slot, const float* extent);
-  // Drops staged extents for partitions not in `wanted` (stale lookahead after a
-  // mid-epoch resize), returning their arena slots. Caller holds stage_mu_.
+  // Drops staged extents for partitions not in `wanted` (a stale lookahead),
+  // returning their arena slots. Caller holds stage_mu_.
   void DiscardStaleStagedLocked(const std::unordered_set<int32_t>& wanted);
 
   const Partitioning* partitioning_;

@@ -66,14 +66,6 @@ struct ComputeStats {
     return capacity_seconds > 0.0 ? busy_seconds / capacity_seconds : 1.0;
   }
 
-  // Efficiency of the window between an earlier snapshot of *this and now — the
-  // per-partition-set signal the PipelineController observes mid-epoch.
-  double ParallelEfficiencySince(const ComputeStats& since) const {
-    const double busy = busy_seconds - since.busy_seconds;
-    const double capacity = capacity_seconds - since.capacity_seconds;
-    return capacity > 0.0 ? busy / capacity : 1.0;
-  }
-
   // busy / wall: the effective speedup over running the same chunks serially.
   double Speedup() const {
     return wall_seconds > 0.0 ? busy_seconds / wall_seconds : 1.0;

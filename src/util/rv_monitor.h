@@ -14,10 +14,6 @@
 //   pipeline.queue_occupancy BoundedQueue occupancy stays within [0, capacity]
 //                            and the window watermarks stay consistent
 //                            (RvWatermarkMonitor)
-//   pipeline.resize_quiesce  PipelineSession::Resize only happens at quiesce: not
-//                            inside a Consume delivery, with every worker exited
-//                            and the queue drained into the reorder buffer
-//                            (RvQuiesceMonitor)
 //   io_engine.tag_order      same-tag IO requests start execution in submission
 //                            order — the read-after-write/write-after-read rule
 //                            the partition buffer depends on (RvTagOrderMonitor)
@@ -69,7 +65,6 @@ namespace mariusgnn {
 enum class RvInvariant : int {
   kTicketOrder = 0,
   kQueueOccupancy,
-  kResizeQuiesce,
   kIoTagOrder,
   kServeEpochPin,
   kCommFoldOrder,
@@ -213,33 +208,6 @@ class RvWatermarkMonitor {
       rt.Report(invariant_, "inconsistent watermarks: low " + std::to_string(low) +
                                 ", high " + std::to_string(high) + ", capacity " +
                                 std::to_string(capacity));
-    }
-  }
-
- private:
-  RvInvariant invariant_;
-};
-
-// Resize happens only at quiesce: never inside a Consume delivery, and only
-// once every worker has exited and the queue is drained into the reorder
-// buffer.
-class RvQuiesceMonitor {
- public:
-  explicit RvQuiesceMonitor(RvInvariant invariant) : invariant_(invariant) {}
-
-  void ObserveResize(bool mid_consume, int workers_left, size_t queue_size) {
-    RvRuntime& rt = RvRuntime::Global();
-    if (!rt.enabled()) {
-      return;
-    }
-    if (mid_consume) {
-      rt.Report(invariant_, "resize entered while a Consume delivery is active");
-    }
-    if (workers_left != 0 || queue_size != 0) {
-      rt.Report(invariant_, "resize before quiesce: " +
-                                std::to_string(workers_left) +
-                                " workers still running, " +
-                                std::to_string(queue_size) + " items undrained");
     }
   }
 

@@ -34,7 +34,7 @@ Checkpoint SampleCheckpoint() {
   for (int i = 0; i < 4; ++i) {
     ck.rng_state[i] = 0x1111111111111111ULL * (i + 1);
   }
-  ck.scalars.emplace_back("controller_workers", 2);
+  ck.scalars.emplace_back("example_scalar", 2);
   Tensor a(3, 4);
   for (int64_t i = 0; i < a.size(); ++i) {
     a.data()[i] = static_cast<float>(i) * 0.5f;
@@ -70,7 +70,7 @@ TEST(Checkpoint, RoundTripPreservesEverything) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(loaded.rng_state[i], saved.rng_state[i]);
   }
-  EXPECT_EQ(loaded.scalar("controller_workers", -1), 2);
+  EXPECT_EQ(loaded.scalar("example_scalar", -1), 2);
   EXPECT_EQ(loaded.scalar("absent", -1), -1);
   ASSERT_EQ(loaded.tensors.size(), saved.tensors.size());
   const Tensor& a = loaded.tensor("param0.value");
@@ -390,7 +390,6 @@ TrainingConfig SerialDiskLpConfig() {
   config.num_negatives = 32;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   config.storage.use_disk = true;
   config.storage.num_physical = 8;
   config.storage.num_logical = 4;
@@ -545,7 +544,6 @@ TrainingConfig SerialNcConfig(bool use_disk) {
   config.weight_lr = 0.05f;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   if (use_disk) {
     config.storage.use_disk = true;
     config.storage.num_physical = 16;

@@ -1,7 +1,7 @@
 // Tests for the pipeline layer: BoundedQueue under multi-producer/multi-consumer
 // load (including the occupancy instrumentation), TrainingPipeline's
-// order-preserving reassembly and determinism, PipelineSession's segmented runs
-// and mid-run resizes, and the PipelineController's decision rules.
+// order-preserving reassembly and determinism, and PipelineSession's segmented
+// runs and teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/pipeline/pipeline_controller.h"
 #include "src/pipeline/queue.h"
 #include "src/pipeline/training_pipeline.h"
 #include "src/util/compute.h"
@@ -132,18 +131,6 @@ TEST(BoundedQueue, DrainAfterCloseKeepsFifoOrder) {
     EXPECT_EQ(*v, i);  // buffered items drain in order
   }
   EXPECT_FALSE(q.Pop().has_value());  // then closed-and-empty
-}
-
-TEST(BoundedQueue, TryPopIsNonBlocking) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.TryPop().has_value());  // empty: returns immediately
-  ASSERT_TRUE(q.Push(7));
-  ASSERT_TRUE(q.Push(8));
-  EXPECT_EQ(q.TryPop().value(), 7);
-  EXPECT_EQ(q.TryPop().value(), 8);
-  EXPECT_FALSE(q.TryPop().has_value());
-  q.Close();
-  EXPECT_FALSE(q.TryPop().has_value());  // closed-and-empty: still non-blocking
 }
 
 TEST(BoundedQueue, OccupancyWindowTracksWatermarksAndIntegral) {
@@ -406,54 +393,47 @@ TEST(TrainingPipeline, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
-// PipelineSession: segmented/resumable runs with mid-run worker resizes. The
-// ticket counter, window gate, and reorder buffer must survive a resize, so the
-// consumed sequence is always the full announced stream in index order —
-// bitwise-equal to a fixed-worker run — no matter where resizes land.
+// PipelineSession: segmented/resumable runs. The ticket counter, window gate, and
+// reorder buffer carry across segment boundaries, so the consumed sequence is
+// always the full announced stream in index order — bitwise-equal to a one-shot
+// run — no matter how the stream is cut into segments or how many workers run.
 
 std::shared_ptr<void> SeededItem(uint64_t seed, int64_t i) {
   return std::make_shared<uint64_t>(MixSeed(seed, static_cast<uint64_t>(i)));
 }
 
-TEST(PipelineSession, SegmentsWithResizesMatchFixedWorkerRun) {
+TEST(PipelineSession, SegmentsMatchOneShotRunAtAnyWorkerCount) {
   ThreadPool pool(4);
   const uint64_t kSeed = 99;
   const int64_t n = 200;
 
-  // Reference: the one-shot fixed-worker pipeline over the same pure producer.
+  // Reference: the one-shot serial pipeline over the same pure producer.
   std::vector<uint64_t> expected;
-  {
+  TrainingPipeline(PipelineSessionOptions{0, 3, nullptr})
+      .Run(
+          n, [&](int64_t i) { return SeededItem(kSeed, i); },
+          [&](void* item, int64_t) { expected.push_back(*static_cast<uint64_t*>(item)); });
+
+  for (int workers : {1, 4}) {
     PipelineSessionOptions options;
-    options.workers = 2;
+    options.workers = workers;
     options.queue_capacity = 3;
     options.pool = &pool;
-    TrainingPipeline pipeline(options);
-    pipeline.Run(
-        n, [&](int64_t i) { return SeededItem(kSeed, i); },
-        [&](void* item, int64_t) { expected.push_back(*static_cast<uint64_t*>(item)); });
-  }
+    std::vector<uint64_t> got;
+    PipelineSession session(
+        options, [&](int64_t i) { return SeededItem(kSeed, i); },
+        [&](void* item, int64_t) { got.push_back(*static_cast<uint64_t*>(item)); });
 
-  PipelineSessionOptions options;
-  options.workers = 3;
-  options.queue_capacity = 3;
-  options.pool = &pool;
-  std::vector<uint64_t> got;
-  PipelineSession session(
-      options, [&](int64_t i) { return SeededItem(kSeed, i); },
-      [&](void* item, int64_t) { got.push_back(*static_cast<uint64_t*>(item)); });
-
-  // Uneven segments with a resize at every boundary (grow and shrink).
-  const int64_t segments[] = {1, 49, 10, 90, 50};
-  const int resizes[] = {1, 4, 2, 3, 1};
-  for (size_t s = 0; s < 5; ++s) {
-    const PipelineStats ps = session.RunSegment(segments[s]);
-    EXPECT_EQ(ps.num_items, segments[s]);
-    session.Resize(resizes[s]);
-    EXPECT_EQ(session.workers(), resizes[s]);
+    // Uneven segments, including a one-item segment and an empty one.
+    for (int64_t segment : {1, 49, 0, 10, 90, 50}) {
+      const PipelineStats ps = session.RunSegment(segment);
+      EXPECT_EQ(ps.num_items, segment);
+      EXPECT_EQ(ps.workers, workers);
+    }
+    EXPECT_EQ(session.workers(), workers);
+    EXPECT_EQ(session.consumed(), n);
+    EXPECT_EQ(got, expected) << workers << " workers";
   }
-  EXPECT_EQ(session.consumed(), n);
-  EXPECT_EQ(session.resize_count(), 5);
-  EXPECT_EQ(got, expected);
 }
 
 TEST(PipelineSession, ExtendAheadOfConsumeKeepsOrder) {
@@ -506,7 +486,7 @@ TEST(PipelineSession, SerialSessionRunsInlineAndSupportsSegments) {
 
 TEST(PipelineSession, ReportsQueueOccupancyPerSegment) {
   // Fast producers + a slow consumer pin the queue at capacity, so the segment's
-  // time-weighted occupancy must come out high; the signal feeding the controller.
+  // time-weighted occupancy must come out high.
   ThreadPool pool(4);
   PipelineSessionOptions options;
   options.workers = 4;
@@ -526,69 +506,71 @@ TEST(PipelineSession, ReportsQueueOccupancyPerSegment) {
 }
 
 TEST(PipelineSession, TeardownWithBlockedProducersDoesNotDeadlock) {
-  // The close-while-producer-blocked case: items are announced but never
-  // consumed, so producers sit blocked on the full queue (or parked on the
-  // window gate) when the session is resized and then destroyed. Both paths
-  // must quiesce by draining, not deadlock; ASan's leak check covers the
-  // drained-but-unconsumed items.
+  // The close-while-producer-blocked case: two items are announced but never
+  // consumed. The producer whose item fills the one-slot queue finds no ticket
+  // left and parks on the window gate; the other is blocked in Push behind the
+  // full queue (or about to enter it). Teardown must wake the gate and close the
+  // queue under the blocked Push rather than deadlock; ASan's leak check covers
+  // the produced-but-unconsumed items.
   ThreadPool pool(2);
   PipelineSessionOptions options;
   options.workers = 2;
   options.queue_capacity = 1;
   options.pool = &pool;
+  std::atomic<int64_t> produced{0};
   {
     PipelineSession session(
         options,
-        [](int64_t i) -> std::shared_ptr<void> { return std::make_shared<int64_t>(i); },
+        [&produced](int64_t i) -> std::shared_ptr<void> {
+          produced.fetch_add(1);
+          return std::make_shared<int64_t>(i);
+        },
         [](void*, int64_t) {});
-    session.Extend(50);
-    // Wait for a producer to actually fill the queue (and block behind it).
-    for (int spin = 0; spin < 2000 && session.queue_size() < 1; ++spin) {
+    session.Extend(2);
+    // Wait until the queue is full and both items have been produced.
+    for (int spin = 0;
+         spin < 5000 && (session.queue_size() < 1 || produced.load() < 2); ++spin) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     EXPECT_EQ(session.queue_size(), 1u);
-    session.Resize(1);  // quiesce with a producer blocked mid-push
-    session.Extend(10);
-    // Destroy with 60 announced, 0 consumed.
+    EXPECT_EQ(produced.load(), 2);
+    // Destroy with 2 announced, 0 consumed.
   }
   SUCCEED();
 }
 
-// The ISSUE's randomized stress test: random producer delays and forced resizes
-// at adversarial points — empty queue, full queue, and immediately after the
-// last batch of a segment ("set") — asserting in-order delivery, no deadlock
-// (the test completing at all), and bitwise-equal output vs the fixed-worker
-// run. Runs under TSan in CI like the rest of this suite.
-TEST(PipelineSession, StressRandomDelaysAndAdversarialResizes) {
+// Randomized stress: random producer delays, random segment sizes, and Consume
+// calls that stop short of the announced limit, so segments start with the
+// queue empty, full (producers blocked mid-push), or holding run-ahead in the
+// reorder buffer. Asserts in-order delivery, no deadlock (the test completing
+// at all), and bitwise-equal output vs a serial run, at 1 to 4 workers. Runs
+// under TSan in CI like the rest of this suite.
+TEST(PipelineSession, StressRandomDelaysAndSegments) {
   ThreadPool pool(4);
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
     const int64_t n = 160;
+    auto produce = [seed](int64_t i) -> std::shared_ptr<void> {
+      // Deterministic per-index jitter; no shared RNG on worker threads.
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          MixSeed(seed ^ 0xABCD, static_cast<uint64_t>(i)) % 300));
+      return SeededItem(seed, i);
+    };
     std::vector<uint64_t> expected;
-    expected.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      expected.push_back(MixSeed(seed, static_cast<uint64_t>(i)));
-    }
+    TrainingPipeline(PipelineSessionOptions{0, 2, nullptr})
+        .Run(n, produce, [&](void* item, int64_t) {
+          expected.push_back(*static_cast<uint64_t*>(item));
+        });
 
     PipelineSessionOptions options;
-    options.workers = 3;
+    options.workers = static_cast<int>(seed);
     options.queue_capacity = 2;
     options.pool = &pool;
     std::vector<uint64_t> got;
     Rng rng(seed * 7919);
     {
-      PipelineSession session(
-          options,
-          [seed](int64_t i) -> std::shared_ptr<void> {
-            // Deterministic per-index jitter; no shared RNG on worker threads.
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                MixSeed(seed ^ 0xABCD, static_cast<uint64_t>(i)) % 300));
-            return SeededItem(seed, i);
-          },
-          [&](void* item, int64_t) { got.push_back(*static_cast<uint64_t*>(item)); });
-
-      // Adversarial point: resize before anything is announced (empty queue,
-      // all workers parked on the gate).
-      session.Resize(2);
+      PipelineSession session(options, produce, [&](void* item, int64_t) {
+        got.push_back(*static_cast<uint64_t*>(item));
+      });
       int64_t announced = 0;
       int64_t consumed = 0;
       while (consumed < n) {
@@ -599,254 +581,22 @@ TEST(PipelineSession, StressRandomDelaysAndAdversarialResizes) {
         }
         if (rng.UniformInt(0, 3) == 0 && announced - consumed >
                 static_cast<int64_t>(options.queue_capacity) + session.workers()) {
-          // Adversarial point: force the queue full (producers blocked mid-push),
-          // then resize into the back-pressure.
+          // Let the queue fill (producers blocked mid-push) before consuming.
           for (int spin = 0;
                spin < 5000 && session.queue_size() < options.queue_capacity; ++spin) {
             std::this_thread::sleep_for(std::chrono::microseconds(100));
           }
-          session.Resize(static_cast<int>(rng.UniformInt(1, 5)));
         }
         const int64_t take =
             std::min<int64_t>(announced - consumed, rng.UniformInt(1, 41));
         session.Consume(take);
         consumed += take;
-        if (rng.UniformInt(0, 2) == 0) {
-          // Adversarial point: resize right after the last batch of a segment
-          // (queue typically empty, reorder buffer possibly holding run-ahead).
-          session.Resize(static_cast<int>(rng.UniformInt(1, 5)));
-        }
       }
-      EXPECT_GE(session.resize_count(), 1);
       EXPECT_EQ(session.consumed(), n);
     }
     ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
     EXPECT_EQ(got, expected) << "seed " << seed;
   }
-}
-
-// ---------------------------------------------------------------------------
-// PipelineController decision rules. These mirror the AdaptiveWorkerSplit units
-// (the controller's rules 1-2 ARE that hysteresis), then cover the queue-depth
-// refinement, the IO-bound hold, and the epoch-granularity fallback equivalence.
-
-PipelineControllerOptions ControllerOpts(int max_workers, int min_workers = 1) {
-  PipelineControllerOptions options;
-  options.max_workers = max_workers;
-  options.min_workers = min_workers;
-  options.par_eff_low = 0.4;
-  options.par_eff_high = 0.85;
-  // The raw-rule tests below disable the queue-decision cool-down so each window
-  // exercises the rule itself; the QueueCooldown* tests cover the damping.
-  options.queue_cooldown_windows = 0;
-  return options;
-}
-
-ControllerSignals EffOnly(double par_eff) {
-  ControllerSignals signals;
-  signals.compute_parallel_efficiency = par_eff;
-  return signals;
-}
-
-// Dead-band efficiency plus a queue reading; stall/io/window default to a
-// stall-free, IO-free 1-second window.
-ControllerSignals DeadBandQueue(double occupancy, double stall_seconds = 0.0,
-                                double io_stall_seconds = 0.0) {
-  ControllerSignals signals;
-  signals.compute_parallel_efficiency = 0.6;
-  signals.has_queue_signal = true;
-  signals.queue_occupancy_mean = occupancy;
-  signals.pipeline_stall_seconds = stall_seconds;
-  signals.io_stall_seconds = io_stall_seconds;
-  signals.window_seconds = 1.0;
-  return signals;
-}
-
-TEST(PipelineController, ShrinksGrowsWithHysteresis) {
-  PipelineController controller(ControllerOpts(4));
-  EXPECT_EQ(controller.workers(), 4);                    // starts at max
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.20)), 3); // below low -> shrink
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.39)), 2);
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.60)), 2); // dead band -> hold
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.40)), 2); // thresholds exclusive
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.90)), 3); // above high -> grow
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.95)), 4);
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.99)), 4); // clamped at max
-}
-
-TEST(PipelineController, NeverShrinksBelowMinWorkers) {
-  PipelineController controller(ControllerOpts(3, 2));
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 2);
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 2);
-  // The queue-high shrink rule respects the same clamp.
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(1.0)), 2);
-}
-
-TEST(PipelineController, DisabledPinsAtConfiguredWorkers) {
-  PipelineControllerOptions options = ControllerOpts(3);
-  options.enabled = false;
-  PipelineController controller(options);
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 3);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(1.0)), 3);
-}
-
-TEST(PipelineController, NonPipelinedStaysAtZeroWorkers) {
-  PipelineController controller(ControllerOpts(0));
-  EXPECT_EQ(controller.workers(), 0);
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 0);
-}
-
-TEST(PipelineController, QueueHighShrinksInDeadBand) {
-  // Occupancy pinned near capacity: producers are ahead of compute, so extra
-  // samplers are wasted even though efficiency sits in the dead band.
-  PipelineController controller(ControllerOpts(4));
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.90)), 3);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.76)), 2);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.75)), 2);  // threshold exclusive
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.50)), 2);  // mid band holds
-}
-
-TEST(PipelineController, QueueLowGrowsOnlyWithRealConsumerStalls) {
-  PipelineController controller(ControllerOpts(4));
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.2)), 3);  // make room to grow
-  // Near-empty queue but the consumer never stalled: compute kept up, hold.
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.05, /*stall=*/0.0)), 3);
-  // Near-empty queue AND the consumer stalled 20% of the window: sampling is the
-  // bottleneck, grow.
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.05, /*stall=*/0.2)), 4);
-}
-
-TEST(PipelineController, IoBoundWindowHolds) {
-  PipelineController controller(ControllerOpts(4));
-  // Occupancy says shrink, stalls say grow — but 60% of the window was unhidden
-  // IO, which no worker split can fix: hold.
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95, 0.0, /*io=*/0.6)), 4);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.05, 0.3, /*io=*/0.6)), 4);
-}
-
-TEST(PipelineController, EfficiencyRulesDominateQueueSignal) {
-  PipelineController controller(ControllerOpts(4));
-  // Efficiency below the low threshold shrinks even when the queue reads empty
-  // with heavy stalls (the grow case); above high grows even when the queue
-  // reads full (the shrink case). Keeps fallback and per-set modes comparable.
-  ControllerSignals low = DeadBandQueue(0.05, /*stall=*/0.5);
-  low.compute_parallel_efficiency = 0.1;
-  EXPECT_EQ(controller.ObserveWindow(low), 3);
-  ControllerSignals high = DeadBandQueue(0.95);
-  high.compute_parallel_efficiency = 0.95;
-  EXPECT_EQ(controller.ObserveWindow(high), 4);
-}
-
-TEST(PipelineController, FallbackEpochModeMatchesAdaptiveWorkerSplit) {
-  // In epoch-granularity fallback mode the controller must be decision-for-
-  // decision identical to the legacy AdaptiveWorkerSplit on any efficiency
-  // sequence — and must ignore the queue signal entirely.
-  PipelineControllerOptions options = ControllerOpts(5, 2);
-  options.granularity = ControllerGranularity::kEpoch;
-  PipelineController controller(options);
-  AdaptiveWorkerSplit split(/*enabled=*/true, 5, 2, 0.4, 0.85);
-  EXPECT_EQ(controller.workers(), split.workers());
-  Rng rng(42);
-  for (int i = 0; i < 500; ++i) {
-    const double par_eff = rng.UniformDouble() * 1.2;
-    ControllerSignals signals = DeadBandQueue(rng.UniformDouble(),
-                                              rng.UniformDouble(),
-                                              rng.UniformDouble());
-    signals.compute_parallel_efficiency = par_eff;  // queue fields are decoys
-    EXPECT_EQ(controller.ObserveWindow(signals), split.Observe(par_eff)) << i;
-  }
-}
-
-TEST(PipelineController, QueueCooldownDampsShrinkGrowPingPong) {
-  // On a host where neither split wins, high-occupancy and low-occupancy+stall
-  // windows can alternate; without a cool-down the queue rules flip the worker
-  // count every single window. The cool-down lets each move settle first.
-  auto run = [](int cooldown_windows) {
-    PipelineControllerOptions options = ControllerOpts(4, 1);
-    options.queue_cooldown_windows = cooldown_windows;
-    PipelineController controller(options);
-    int changes = 0;
-    int prev = controller.workers();
-    for (int i = 0; i < 12; ++i) {
-      // Adversarial alternation: shrink signal, then grow signal, repeat.
-      const int next = controller.ObserveWindow(
-          i % 2 == 0 ? DeadBandQueue(0.95) : DeadBandQueue(0.05, /*stall=*/0.3));
-      if (next != prev) {
-        ++changes;
-      }
-      prev = next;
-    }
-    return changes;
-  };
-  // Undamped, every window flips the decision (12 changes). With a 2-window
-  // cool-down, at most every third window may act.
-  EXPECT_EQ(run(0), 12);
-  EXPECT_LE(run(2), 4);
-  EXPECT_GE(run(2), 1);  // the rule still acts once the cool-down expires
-}
-
-TEST(PipelineController, QueueCooldownCountsDownAndReleases) {
-  PipelineControllerOptions options = ControllerOpts(4, 1);
-  options.queue_cooldown_windows = 2;
-  PipelineController controller(options);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95)), 3);  // shrink, arm
-  EXPECT_EQ(controller.queue_cooldown_remaining(), 2);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95)), 3);  // suppressed
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95)), 3);  // suppressed
-  EXPECT_EQ(controller.queue_cooldown_remaining(), 0);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95)), 2);  // released
-}
-
-TEST(PipelineController, CooldownDoesNotGateEfficiencyRules) {
-  // Starved compute must shed workers immediately: the efficiency band keeps its
-  // own hysteresis and ignores the queue-rule cool-down.
-  PipelineControllerOptions options = ControllerOpts(4, 1);
-  options.queue_cooldown_windows = 3;
-  PipelineController controller(options);
-  EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(0.95)), 3);  // arm cool-down
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.1)), 2);         // not gated
-  EXPECT_EQ(controller.ObserveWindow(EffOnly(0.95)), 3);        // not gated
-}
-
-TEST(PipelineController, RestoreStateClampsToConfiguredRange) {
-  PipelineController controller(ControllerOpts(4, 2));
-  controller.RestoreState(/*workers=*/1, /*cooldown_remaining=*/-3);
-  EXPECT_EQ(controller.workers(), 2);
-  EXPECT_EQ(controller.queue_cooldown_remaining(), 0);
-  controller.RestoreState(/*workers=*/9, /*cooldown_remaining=*/1);
-  EXPECT_EQ(controller.workers(), 4);
-  EXPECT_EQ(controller.queue_cooldown_remaining(), 1);
-}
-
-TEST(AdaptiveWorkerSplit, ShrinksGrowsWithHysteresis) {
-  AdaptiveWorkerSplit split(/*enabled=*/true, /*max_workers=*/4, /*min_workers=*/1,
-                            /*low_threshold=*/0.4, /*high_threshold=*/0.85);
-  EXPECT_EQ(split.workers(), 4);           // starts at max
-  EXPECT_EQ(split.Observe(0.20), 3);       // below low -> shrink one step
-  EXPECT_EQ(split.Observe(0.39), 2);
-  EXPECT_EQ(split.Observe(0.60), 2);       // dead band -> hold
-  EXPECT_EQ(split.Observe(0.40), 2);       // thresholds are exclusive
-  EXPECT_EQ(split.Observe(0.90), 3);       // above high -> grow one step
-  EXPECT_EQ(split.Observe(0.95), 4);
-  EXPECT_EQ(split.Observe(0.99), 4);       // clamped at max
-}
-
-TEST(AdaptiveWorkerSplit, NeverShrinksBelowMinWorkers) {
-  AdaptiveWorkerSplit split(true, 3, 2, 0.5, 0.8);
-  EXPECT_EQ(split.Observe(0.0), 2);
-  EXPECT_EQ(split.Observe(0.0), 2);
-}
-
-TEST(AdaptiveWorkerSplit, DisabledPinsAtConfiguredWorkers) {
-  AdaptiveWorkerSplit split(/*enabled=*/false, 3, 1, 0.5, 0.8);
-  EXPECT_EQ(split.Observe(0.0), 3);
-  EXPECT_EQ(split.Observe(1.0), 3);
-}
-
-TEST(AdaptiveWorkerSplit, NonPipelinedStaysAtZeroWorkers) {
-  AdaptiveWorkerSplit split(true, /*max_workers=*/0, 1, 0.5, 0.8);
-  EXPECT_EQ(split.workers(), 0);
-  EXPECT_EQ(split.Observe(0.0), 0);
 }
 
 }  // namespace

@@ -161,8 +161,6 @@ TEST(RvRuntime, InvariantNamesAreStable) {
   EXPECT_STREQ(RvInvariantName(RvInvariant::kTicketOrder), "pipeline.ticket_order");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kQueueOccupancy),
                "pipeline.queue_occupancy");
-  EXPECT_STREQ(RvInvariantName(RvInvariant::kResizeQuiesce),
-               "pipeline.resize_quiesce");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kIoTagOrder), "io_engine.tag_order");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kServeEpochPin), "serve.epoch_pin");
 }
@@ -199,19 +197,6 @@ TEST(RvWatermarkMonitorTest, TripsOnWatermarkBreach) {
   EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 2);
   wm.ObserveWindow(0, 5, 4);  // injected: high watermark beyond capacity
   EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 3);
-}
-
-TEST(RvQuiesceMonitorTest, TripsOnResizeBeforeQuiesce) {
-  RvTestScope scope;
-  RvQuiesceMonitor q(RvInvariant::kResizeQuiesce);
-  q.ObserveResize(false, 0, 0);  // clean quiesce
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 0);
-  q.ObserveResize(true, 0, 0);  // injected: resize inside a Consume delivery
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 1);
-  q.ObserveResize(false, 2, 0);  // injected: workers still running
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 2);
-  q.ObserveResize(false, 0, 3);  // injected: queue not drained
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 3);
 }
 
 TEST(RvTagOrderMonitorTest, TripsOnSameTagReorder) {
@@ -272,7 +257,7 @@ TEST(RvIntegration, BoundedQueueRunsViolationFree) {
   EXPECT_EQ(scope.sink().total(), 0);
 }
 
-TEST(RvIntegration, PipelineSessionWithResizesRunsViolationFree) {
+TEST(RvIntegration, PipelineSessionSegmentsRunViolationFree) {
   RvTestScope scope;
   PipelineSessionOptions options;
   options.workers = 2;
@@ -286,38 +271,13 @@ TEST(RvIntegration, PipelineSessionWithResizesRunsViolationFree) {
         consumed.push_back(i);
       });
   session.RunSegment(8);
-  session.Resize(4);
   session.RunSegment(8);
-  session.Resize(1);
   session.RunSegment(8);
   ASSERT_EQ(consumed.size(), 24u);
   for (size_t i = 0; i < consumed.size(); ++i) {
     EXPECT_EQ(consumed[i], static_cast<int64_t>(i));
   }
   EXPECT_EQ(scope.sink().total(), 0);
-}
-
-TEST(RvIntegration, MidConsumeResizeTripsQuiesceMonitor) {
-  RvTestScope scope;
-  PipelineSessionOptions options;
-  options.workers = 2;
-  options.queue_capacity = 2;
-  std::unique_ptr<PipelineSession> session;
-  bool injected = false;
-  session = std::make_unique<PipelineSession>(
-      options,
-      [](int64_t i) -> std::shared_ptr<void> { return std::make_shared<int64_t>(i); },
-      [&](void*, int64_t i) {
-        if (i == 2 && !injected) {
-          injected = true;
-          session->Resize(3);  // injected: resize from inside a delivery
-        }
-      });
-  session->RunSegment(6);
-  EXPECT_TRUE(injected);
-  EXPECT_GE(scope.sink().count(RvInvariant::kResizeQuiesce), 1);
-  // The stream itself must still have been delivered in order.
-  EXPECT_EQ(scope.sink().count(RvInvariant::kTicketOrder), 0);
 }
 
 TEST(RvIntegration, IoEngineRunsViolationFree) {

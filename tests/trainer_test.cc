@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "src/core/checkpoint.h"
 #include "src/core/link_prediction_trainer.h"
 #include "src/core/node_classification_trainer.h"
 #include "src/data/datasets.h"
@@ -570,183 +571,25 @@ TEST(LinkPrediction, BaselineSamplerParallelComputeTrajectoryIdentical) {
   EXPECT_DOUBLE_EQ(parallel.second, serial.second);
 }
 
-TEST(LinkPrediction, AdaptiveWorkerSplitDoesNotChangeTrajectory) {
-  // Thresholds above any real efficiency force a shrink every epoch, so the
-  // adaptive run demonstrably rebalances (3 -> 2 -> 1 sampling workers) while the
-  // loss/MRR trajectory stays bitwise identical to the fixed-worker run: the split
-  // only ever changes worker count, which never changes the batch stream.
-  Graph g = Fb15k237Like(0.03);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallLpConfig();
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 3;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;  // sampling + compute share one pool
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    LinkPredictionTrainer trainer(&g, config);
-    std::vector<double> history;
-    std::vector<int> workers;
-    for (int e = 0; e < 3; ++e) {
-      const EpochStats stats = trainer.TrainEpoch();
-      history.push_back(stats.loss);
-      workers.push_back(stats.pipeline_workers);
-    }
-    history.push_back(trainer.EvaluateMrr(50, 100));
-    return std::make_pair(history, workers);
-  };
-  const auto fixed = run(false);
-  const auto adaptive = run(true);
-  ASSERT_EQ(adaptive.first.size(), fixed.first.size());
-  for (size_t i = 0; i < fixed.first.size(); ++i) {
-    EXPECT_EQ(adaptive.first[i], fixed.first[i]) << "epoch " << i;
-  }
-  EXPECT_EQ(fixed.second, (std::vector<int>{3, 3, 3}));
-  EXPECT_EQ(adaptive.second, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(NodeClassification, AdaptiveWorkerSplitDoesNotChangeTrajectory) {
-  Graph g = PapersMini(0.05);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallNcConfig();
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 2;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    NodeClassificationTrainer trainer(&g, config);
-    double loss = 0.0;
-    for (int e = 0; e < 2; ++e) {
-      loss += trainer.TrainEpoch().loss;
-    }
-    return loss;
-  };
-  EXPECT_DOUBLE_EQ(run(true), run(false));
-}
-
-TEST(LinkPrediction, MidEpochResizeDoesNotChangeTrajectory) {
-  // Disk mode with thresholds above any real efficiency forces a shrink at every
-  // partition-set boundary, so the controller demonstrably resizes the live
-  // session mid-epoch — while the loss/MRR trajectory stays bitwise identical to
-  // the fixed-worker run, because a resize only ever changes the worker count.
+TEST(LinkPrediction, DiskEpochRecordsFixedWorkersPerSet) {
+  // The stage-1 worker count is fixed for the session: every partition set of a
+  // disk epoch reports the configured count, in memory and on disk alike.
   Graph g = Fb15k237Like(0.05);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallLpConfig();
-    config.storage.use_disk = true;
-    config.storage.num_physical = 8;
-    config.storage.num_logical = 4;
-    config.storage.buffer_capacity = 4;
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 3;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;  // sampling + compute share one pool
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.adaptive_within_epoch = true;
-    config.pipeline.par_eff_low = 2.0;  // force a shrink at every boundary
-    config.pipeline.par_eff_high = 3.0;
-    LinkPredictionTrainer trainer(&g, config);
-    const EpochStats stats = trainer.TrainEpoch();
-    return std::make_pair(stats, trainer.EvaluateMrr(50, 100));
-  };
-  const auto fixed = run(false);
-  const auto adaptive = run(true);
-  EXPECT_EQ(adaptive.first.loss, fixed.first.loss);
-  EXPECT_EQ(adaptive.second, fixed.second);
-
-  // The fixed run never resizes; the adaptive run resizes mid-epoch.
-  EXPECT_EQ(fixed.first.resize_count, 0);
-  ASSERT_GT(fixed.first.num_partition_sets, 1);
-  for (int w : fixed.first.workers_per_set) {
-    EXPECT_EQ(w, 3);
-  }
-  EXPECT_GE(adaptive.first.resize_count, 1);
-  ASSERT_EQ(static_cast<int64_t>(adaptive.first.workers_per_set.size()),
-            adaptive.first.num_partition_sets);
-  EXPECT_EQ(adaptive.first.workers_per_set.front(), 3);
-  for (size_t i = 1; i < adaptive.first.workers_per_set.size(); ++i) {
-    EXPECT_LE(adaptive.first.workers_per_set[i],
-              adaptive.first.workers_per_set[i - 1]);  // forced shrinks only
-    EXPECT_GE(adaptive.first.workers_per_set[i], 1);
-  }
-  // The per-set record and the queue signal are reported either way.
-  EXPECT_GE(adaptive.first.queue_occupancy_mean, 0.0);
-  EXPECT_LE(adaptive.first.queue_occupancy_mean, 1.0);
-}
-
-TEST(NodeClassification, MidEpochResizeDoesNotChangeTrajectory) {
-  // The NC disk rotation regime (tiny buffer) yields many partition sets per
-  // epoch; forced shrinks at the set boundaries must not perturb the trajectory.
-  Graph g = PapersMini(0.08);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallNcConfig();
-    config.storage.use_disk = true;
-    config.storage.num_physical = 16;
-    config.storage.buffer_capacity = 2;
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 2;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.adaptive_within_epoch = true;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    NodeClassificationTrainer trainer(&g, config);
-    return trainer.TrainEpoch();
-  };
-  const EpochStats fixed = run(false);
-  const EpochStats adaptive = run(true);
-  EXPECT_EQ(adaptive.loss, fixed.loss);
-  ASSERT_GT(adaptive.num_partition_sets, 1);
-  EXPECT_GE(adaptive.resize_count, 1);  // shrank 2 -> 1 mid-epoch
-  EXPECT_EQ(fixed.resize_count, 0);
-  EXPECT_EQ(adaptive.workers_per_set.front(), 2);
-  EXPECT_EQ(adaptive.workers_per_set.back(), 1);
-}
-
-TEST(LinkPrediction, EpochFallbackModeHoldsWorkersWithinEpoch) {
-  // adaptive_within_epoch = false restores the legacy epoch-granularity
-  // behavior: every set of an epoch runs the same worker count, resizes only
-  // happen between epochs, and the forced shrink steps once per epoch.
-  Graph g = Fb15k237Like(0.05);
-  ThreadPool pool(4);
   TrainingConfig config = SmallLpConfig();
   config.storage.use_disk = true;
   config.storage.num_physical = 8;
   config.storage.num_logical = 4;
   config.storage.buffer_capacity = 4;
   config.pipeline.enabled = true;
-  config.pipeline.workers = 2;
-  config.pipeline.parallel_compute = true;
-  config.pipeline.compute_pool = &pool;
-  config.pipeline.pipeline_pool = &pool;
-  config.pipeline.adaptive_workers = true;
-  config.pipeline.adaptive_within_epoch = false;
-  config.pipeline.par_eff_low = 2.0;
-  config.pipeline.par_eff_high = 3.0;
+  config.pipeline.workers = 3;
   LinkPredictionTrainer trainer(&g, config);
-  const EpochStats first = trainer.TrainEpoch();
-  const EpochStats second = trainer.TrainEpoch();
-  EXPECT_EQ(first.pipeline_workers, 2);
-  EXPECT_EQ(first.resize_count, 0);
-  for (int w : first.workers_per_set) {
-    EXPECT_EQ(w, 2);
-  }
-  EXPECT_EQ(second.pipeline_workers, 1);  // one shrink at the epoch boundary
-  EXPECT_EQ(second.resize_count, 0);
-  for (int w : second.workers_per_set) {
-    EXPECT_EQ(w, 1);
-  }
+  const EpochStats stats = trainer.TrainEpoch();
+  ASSERT_GT(stats.num_partition_sets, 1);
+  EXPECT_EQ(stats.workers_per_set,
+            std::vector<int>(static_cast<size_t>(stats.num_partition_sets), 3));
+  EXPECT_EQ(stats.resize_count, 0);
+  EXPECT_GE(stats.queue_occupancy_mean, 0.0);
+  EXPECT_LE(stats.queue_occupancy_mean, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -763,8 +606,9 @@ TEST(LinkPrediction, EpochFallbackModeHoldsWorkersWithinEpoch) {
 // test prints (they are emitted with %.17g, enough digits to round-trip).
 
 struct GoldenRun {
-  std::vector<double> losses;  // per-epoch mean loss
-  double metric = 0.0;         // MRR (LP) or test accuracy (NC)
+  std::vector<double> losses;    // per-epoch mean loss
+  std::vector<uint64_t> hashes;  // per-epoch determinism hash
+  double metric = 0.0;           // MRR (LP) or test accuracy (NC)
 };
 
 void ExpectGolden(const GoldenRun& run, const std::vector<double>& want_losses,
@@ -787,8 +631,11 @@ void ExpectGolden(const GoldenRun& run, const std::vector<double>& want_losses,
 // checkpoint and is destroyed, a second trainer (same config) restores it and
 // trains the remaining epoch. The checkpoint layer guarantees the stitched
 // trajectory is bitwise-identical to the uninterrupted one, so both variants
-// must reproduce the same golden constants.
-GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
+// must reproduce the same golden constants. With `legacy_scalars`, the checkpoint
+// is rewritten through the whole-table path with the two manifest scalars the
+// deleted adaptive worker controller used to write, as files from before its
+// removal carry them.
+GoldenRun GoldenLpRun(bool use_disk, bool resume = false, bool legacy_scalars = false) {
   Graph g = Fb15k237Like(0.03);
   TrainingConfig config = SmallLpConfig();
   config.pipeline.enabled = true;
@@ -800,10 +647,14 @@ GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
     config.storage.buffer_capacity = 4;
   }
   GoldenRun run;
+  auto record = [&run](const EpochStats& stats) {
+    run.losses.push_back(stats.loss);
+    run.hashes.push_back(stats.determinism_hash);
+  };
   if (!resume) {
     LinkPredictionTrainer trainer(&g, config);
     for (int e = 0; e < 2; ++e) {
-      run.losses.push_back(trainer.TrainEpoch().loss);
+      record(trainer.TrainEpoch());
     }
     run.metric = trainer.EvaluateMrr(50, 100);
     return run;
@@ -811,13 +662,22 @@ GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
   const std::string ckpt = TempPath("mgnn_golden_lp_ckpt");
   {
     LinkPredictionTrainer trainer(&g, config);
-    run.losses.push_back(trainer.TrainEpoch().loss);
+    record(trainer.TrainEpoch());
     trainer.SaveCheckpoint(ckpt);
+  }
+  if (legacy_scalars) {
+    Checkpoint ck;
+    std::string error;
+    EXPECT_TRUE(LoadCheckpoint(ckpt, &ck, &error)) << error;
+    ck.scalars.emplace_back("controller_workers", 3);
+    ck.scalars.emplace_back("controller_cooldown", 2);
+    SaveCheckpoint(ck, ckpt);
   }
   LinkPredictionTrainer resumed(&g, config);
   resumed.ResumeFrom(ckpt);
   EXPECT_EQ(resumed.epochs_completed(), 1);
-  run.losses.push_back(resumed.TrainEpoch().loss);
+  EXPECT_EQ(resumed.last_determinism_hash(), run.hashes[0]);
+  record(resumed.TrainEpoch());
   run.metric = resumed.EvaluateMrr(50, 100);
   std::remove(ckpt.c_str());
   return run;
@@ -889,9 +749,18 @@ TEST(GoldenTrajectory, LinkPredictionInMemoryResume) {
                {2.9370360056559246, 2.0135522921880087}, 0.48917109523447394);
 }
 
+// Checkpoints from before the adaptive worker controller was deleted carry its
+// "controller_workers" / "controller_cooldown" scalars; the manifest reader
+// ignores unknown scalar names, so such a file resumes onto the same trajectory.
 TEST(GoldenTrajectory, LinkPredictionDiskResume) {
-  ExpectGolden(GoldenLpRun(true, /*resume=*/true),
-               {3.0713760495185851, 2.3424148057636462}, 0.4393313931734697);
+  const std::vector<uint64_t> uninterrupted_hashes = GoldenLpRun(true).hashes;
+  for (const bool legacy_scalars : {false, true}) {
+    SCOPED_TRACE(legacy_scalars ? "legacy controller scalars" : "current checkpoint");
+    const GoldenRun run = GoldenLpRun(true, /*resume=*/true, legacy_scalars);
+    ExpectGolden(run,
+                 {3.0713760495185851, 2.3424148057636462}, 0.4393313931734697);
+    EXPECT_EQ(run.hashes, uninterrupted_hashes);
+  }
 }
 
 TEST(GoldenTrajectory, NodeClassificationInMemoryResume) {
