@@ -1,14 +1,18 @@
 // Serving bench: latency/throughput of the online inference tier.
 //
 // A small link-prediction model is trained and checkpointed, then served at
-// 1/8/64 concurrent clients in both embedding-storage modes (memory = mmapped
-// snapshot, disk = LRU block cache over the checkpoint file). Each client
-// issues a fixed number of queries and records per-query wall latency; the
-// table reports p50/p99 and aggregate QPS per configuration, plus how far the
-// leader-follower batcher coalesced under load. Correctness is asserted, not
-// just timed: before timing, one query per configuration is checked bitwise
-// against the serial unbatched oracle, and the bench exits nonzero on any
-// mismatch — a perf artifact from a wrong server would be worse than none.
+// 1/8/64 concurrent clients in three embedding-storage modes: memory (mmapped
+// snapshot), disk (LRU block cache over the checkpoint file, large enough to
+// hold the whole table after warm-up) and disk_quarter (the cache holds about
+// a quarter of the table, as in perfbench's lp-disk, so every query runs the
+// eviction path). Each client issues a fixed number of queries and records
+// per-query wall latency; the table reports p50/p99 and aggregate QPS per
+// configuration, plus how far the leader-follower batcher coalesced under load.
+// Correctness is asserted, not just timed: before timing, the first few
+// queries of every configuration are checked bitwise against the serial
+// unbatched oracle and against the memory-mode answers, and the bench exits
+// nonzero on any mismatch — a perf artifact from a wrong server would be worse
+// than none.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,9 +30,18 @@ namespace {
 constexpr int kTrainEpochs = 2;
 constexpr int kQueriesPerClient = 64;
 constexpr int kCandidatesPerQuery = 100;
+constexpr int kGateQueries = 8;
+constexpr int64_t kCacheBlockRows = 256;
+
+// One embedding-storage mode of the table.
+struct ServingMode {
+  std::string name;
+  bool disk_backed = false;
+  int64_t cache_capacity_blocks = 0;
+};
 
 struct ServingRow {
-  std::string mode;  // "memory" or "disk"
+  std::string mode;  // "memory", "disk" or "disk_quarter"
   std::string name;  // "clients_1", "clients_8", "clients_64"
   int clients = 0;
   double p50_ms = 0.0;
@@ -77,14 +90,16 @@ double Percentile(std::vector<double>& sorted_ms, double p) {
 }
 
 // One (mode, clients) configuration: fresh server so cache and coalescing
-// stats describe exactly this run.
+// stats describe exactly this run. `memory_answers` holds the memory-mode
+// oracle's scores for the first kGateQueries queries.
 bool RunConfig(const Graph& g, const TrainingConfig& config,
-               const std::string& ckpt, bool disk_backed, int clients,
-               const std::vector<LinkQuery>& queries) {
+               const std::string& ckpt, const ServingMode& mode, int clients,
+               const std::vector<LinkQuery>& queries,
+               const std::vector<std::vector<float>>& memory_answers) {
   ServeOptions options;
-  options.snapshot.disk_backed = disk_backed;
-  options.snapshot.cache_block_rows = 256;
-  options.snapshot.cache_capacity_blocks = 64;
+  options.snapshot.disk_backed = mode.disk_backed;
+  options.snapshot.cache_block_rows = kCacheBlockRows;
+  options.snapshot.cache_capacity_blocks = mode.cache_capacity_blocks;
   InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(),
                          options);
   std::string error;
@@ -93,15 +108,21 @@ bool RunConfig(const Graph& g, const TrainingConfig& config,
     return false;
   }
 
-  // Determinism gate: batched must equal the serial oracle bitwise.
-  {
-    const LinkQuery& lq = queries.front();
+  // Determinism gate: batched must equal this server's serial oracle and the
+  // memory-mode answer bitwise.
+  for (size_t q = 0; q < memory_answers.size(); ++q) {
+    const LinkQuery& lq = queries[q];
     const ServeResult got = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
     const ServeResult want =
         server.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates);
     if (got.values != want.values) {
       std::printf("FAIL: batched scores diverge from the serial oracle (%s)\n",
-                  disk_backed ? "disk" : "memory");
+                  mode.name.c_str());
+      return false;
+    }
+    if (got.values != memory_answers[q]) {
+      std::printf("FAIL: %s scores diverge from the memory-mode answer (query %zu)\n",
+                  mode.name.c_str(), q);
       return false;
     }
   }
@@ -140,7 +161,7 @@ bool RunConfig(const Graph& g, const TrainingConfig& config,
 
   const ServerStats stats = server.stats();
   ServingRow row;
-  row.mode = disk_backed ? "disk" : "memory";
+  row.mode = mode.name;
   row.name = "clients_" + std::to_string(clients);
   row.clients = clients;
   row.p50_ms = Percentile(all, 0.50);
@@ -162,7 +183,7 @@ bool RunConfig(const Graph& g, const TrainingConfig& config,
   }
 
   std::printf(
-      "%-6s  %3d clients  p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  "
+      "%-12s  %3d clients  p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  "
       "batches %5llu  max coalesced %3lld  cache h/m/e %llu/%llu/%llu\n",
       row.mode.c_str(), clients, row.p50_ms, row.p99_ms, row.qps,
       static_cast<unsigned long long>(row.batches),
@@ -236,10 +257,29 @@ int main(int argc, char** argv) {
   trainer.SaveCheckpoint(ckpt);
 
   const std::vector<LinkQuery> queries = MakeQueries(graph, 256);
+  std::vector<std::vector<float>> memory_answers;
+  {
+    InferenceServer memory(&graph, TaskKind::kLinkPrediction, config.model_config(),
+                           ServeOptions());
+    std::string error;
+    if (!memory.LoadSnapshot(ckpt, &error)) {
+      std::printf("FAIL: %s\n", error.c_str());
+      return 1;
+    }
+    for (int q = 0; q < kGateQueries; ++q) {
+      const LinkQuery& lq = queries[static_cast<size_t>(q)];
+      memory_answers.push_back(
+          memory.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates).values);
+    }
+  }
+  const int64_t quarter_blocks = std::max<int64_t>(
+      1, (graph.num_nodes() / 4 + kCacheBlockRows - 1) / kCacheBlockRows);
+  const std::vector<ServingMode> modes = {
+      {"memory", false, 64}, {"disk", true, 64}, {"disk_quarter", true, quarter_blocks}};
   bool ok = true;
-  for (const bool disk : {false, true}) {
+  for (const ServingMode& mode : modes) {
     for (const int clients : {1, 8, 64}) {
-      ok = RunConfig(graph, config, ckpt, disk, clients, queries) && ok;
+      ok = RunConfig(graph, config, ckpt, mode, clients, queries, memory_answers) && ok;
     }
   }
   if (!json_path.empty()) {
@@ -247,7 +287,7 @@ int main(int argc, char** argv) {
   }
   std::remove(ckpt.c_str());
   if (!ok) {
-    std::printf("\nFAIL: serving diverged from the serial oracle\n");
+    std::printf("\nFAIL: serving diverged from the serial oracle or the memory-mode answer\n");
   }
   return ok ? 0 : 1;
 }

@@ -50,9 +50,7 @@ void PipelineSession::WorkerLoop() {
     }
     WallTimer timer;
     std::shared_ptr<void> item = produce_(i);
-    sample_nanos_.fetch_add(static_cast<int64_t>(timer.Seconds() * 1e9),
-                            std::memory_order_relaxed);
-    if (!queue_.Push(Produced{i, std::move(item)})) {
+    if (!queue_.Push(Produced{i, std::move(item), timer.Seconds()})) {
       break;  // queue closed (session teardown)
     }
   }
@@ -103,7 +101,6 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   // The queue-occupancy window covers exactly this segment: reset on entry,
   // snapshot on exit.
   (void)queue_.WindowStats();
-  const int64_t sample_nanos_start = sample_nanos_.load(std::memory_order_relaxed);
 
   PipelineStats stats;
   while (consumed_ < target) {
@@ -113,10 +110,12 @@ PipelineStats PipelineSession::Consume(int64_t count) {
       std::optional<Produced> got = queue_.Pop();
       stats.stall_seconds += wait_timer.Seconds();
       MG_CHECK(got.has_value());
-      reorder_.emplace(got->index, std::move(got->item));
+      const int64_t index = got->index;
+      reorder_.emplace(index, std::move(*got));
       continue;
     }
-    std::shared_ptr<void> item = std::move(it->second);
+    std::shared_ptr<void> item = std::move(it->second.item);
+    stats.sample_seconds += it->second.sample_seconds;
     reorder_.erase(it);
     rv_ticket_.Observe(consumed_);
     WallTimer compute_timer;
@@ -131,10 +130,6 @@ PipelineStats PipelineSession::Consume(int64_t count) {
 
   stats.num_items = count;
   stats.workers = options_.workers;
-  stats.sample_seconds =
-      static_cast<double>(sample_nanos_.load(std::memory_order_relaxed) -
-                          sample_nanos_start) *
-      1e-9;
   const QueueStats qs = queue_.WindowStats();
   stats.queue_occupancy_mean =
       qs.MeanOccupancy() / static_cast<double>(queue_.capacity());

@@ -27,7 +27,6 @@
 #ifndef SRC_PIPELINE_TRAINING_PIPELINE_H_
 #define SRC_PIPELINE_TRAINING_PIPELINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -117,6 +116,9 @@ class PipelineSession {
   struct Produced {
     int64_t index;
     std::shared_ptr<void> item;
+    // Stage-1 time spent producing `item`; counted by the segment that consumes
+    // it, so no production is missed however it interleaves with Consume calls.
+    double sample_seconds;
   };
 
   // Stage-1 worker loop: claim the next ticket through the window gate, produce,
@@ -145,8 +147,7 @@ class PipelineSession {
   std::condition_variable done_cv_;
   int workers_left_ = 0;  // guarded by done_mu_
 
-  std::atomic<int64_t> sample_nanos_{0};
-  std::map<int64_t, std::shared_ptr<void>> reorder_;  // owner thread only
+  std::map<int64_t, Produced> reorder_;  // owner thread only
 
   // RV monitors (owner thread only). rv_ticket_ observes every index handed to
   // the consumer — serial or pipelined — so any reorder-buffer slip shows up as a

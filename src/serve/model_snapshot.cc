@@ -87,31 +87,33 @@ std::unique_ptr<EmbeddingSource> EmbeddingSource::OpenDiskLru(
   return src;
 }
 
-const float* EmbeddingSource::CachedRow(int64_t row) const {
-  const int64_t block_id = row / block_rows_;
+const float* EmbeddingSource::CachedBlock(int64_t block_id) const {
   auto it = blocks_.find(block_id);
   if (it != blocks_.end()) {
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.data.data() + (row - block_id * block_rows_) * cols_;
+    return it->second.data.data();
   }
   ++stats_.misses;
+  Block* block;
   if (static_cast<int64_t>(blocks_.size()) >= capacity_blocks_) {
-    const int64_t victim = lru_.back();
-    lru_.pop_back();
-    blocks_.erase(victim);
+    // Re-key the least-recently-used block in place: no allocation per miss.
+    auto node = blocks_.extract(lru_.back());
+    node.key() = block_id;
+    block = &blocks_.insert(std::move(node)).position->second;
+    lru_.splice(lru_.begin(), lru_, block->lru_it);
+    lru_.front() = block_id;
     ++stats_.evictions;
+  } else {
+    lru_.push_front(block_id);
+    block = &blocks_.emplace(block_id, Block{{}, lru_.begin()}).first->second;
   }
   const int64_t begin_row = block_id * block_rows_;
   const int64_t end_row = std::min(rows_, begin_row + block_rows_);
-  Block block;
-  block.data.resize(static_cast<size_t>((end_row - begin_row) * cols_));
-  file_->ReadAt(block.data.data(), block.data.size() * sizeof(float),
+  block->data.resize(static_cast<size_t>((end_row - begin_row) * cols_));
+  file_->ReadAt(block->data.data(), block->data.size() * sizeof(float),
                 file_offset_ + static_cast<uint64_t>(begin_row) * cols_ * sizeof(float));
-  lru_.push_front(block_id);
-  block.lru_it = lru_.begin();
-  auto ins = blocks_.emplace(block_id, std::move(block)).first;
-  return ins->second.data.data() + (row - begin_row) * cols_;
+  return block->data.data();
 }
 
 Tensor EmbeddingSource::Gather(const std::vector<int64_t>& nodes,
@@ -131,16 +133,36 @@ Tensor EmbeddingSource::Gather(const std::vector<int64_t>& nodes,
                  });
     return out;
   }
-  // Disk-backed: the cache mutates on every lookup, so the gather runs serially
-  // under the lock. The bits are still a pure function of `nodes` — cache state
-  // only decides whether a row comes from memory or a fresh pread of the same
-  // immutable file bytes.
-  std::lock_guard<std::mutex> lock(cache_mu_);
+  // Disk-backed: visit the rows in block order so each block is looked up, and
+  // read at most once, per call. Keys pack (block << 32 | position); sorting
+  // them groups every block's positions into one run.
+  MG_CHECK_MSG(n <= (int64_t{1} << 32) && (rows_ - 1) / block_rows_ < (int64_t{1} << 32),
+               "serve: gather too large for packed block keys");
+  std::vector<uint64_t> keys(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const int64_t row = nodes[static_cast<size_t>(i)];
     MG_CHECK_MSG(row >= 0 && row < rows_, "serve: embedding row out of range");
-    std::memcpy(out.RowPtr(i), CachedRow(row),
-                static_cast<size_t>(cols_) * sizeof(float));
+    keys[static_cast<size_t>(i)] =
+        static_cast<uint64_t>(row / block_rows_) << 32 | static_cast<uint64_t>(i);
+  }
+  std::sort(keys.begin(), keys.end());
+  // The bits are still a pure function of `nodes`: cache state only decides
+  // whether a row comes from memory or a fresh pread of the same immutable file
+  // bytes. Copies run under the lock because another caller may evict a block.
+  const size_t row_bytes = static_cast<size_t>(cols_) * sizeof(float);
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (size_t run = 0; run < keys.size();) {
+    const int64_t block_id = static_cast<int64_t>(keys[run] >> 32);
+    const float* block = CachedBlock(block_id);
+    const int64_t begin_row = block_id * block_rows_;
+    size_t end = run;
+    for (; end < keys.size() && static_cast<int64_t>(keys[end] >> 32) == block_id; ++end) {
+      const int64_t i = static_cast<int64_t>(keys[end] & 0xFFFFFFFFu);
+      std::memcpy(out.RowPtr(i),
+                  block + (nodes[static_cast<size_t>(i)] - begin_row) * cols_, row_bytes);
+    }
+    stats_.hits += end - run - 1;  // the run's first row counted the lookup
+    run = end;
   }
   return out;
 }

@@ -14,7 +14,9 @@
 //  - kDiskLru: disk-backed serving: rows stay on disk and are pulled through a
 //              fixed-capacity LRU cache of row blocks (pread on miss), fronting
 //              the checkpoint file the way the training tier's PartitionBuffer
-//              fronts its partition file.
+//              fronts its partition file. A gather visits its rows in block
+//              order, not request order, so each block it touches is looked up
+//              once and read at most once per call, however small the cache.
 //
 // Snapshots are immutable after Load and safe for concurrent readers: the
 // const forward path of ModelState never writes shared state, and the only
@@ -50,10 +52,14 @@ struct SnapshotOptions {
   int64_t cache_capacity_blocks = 64; // resident block limit
 };
 
+// Disk-backed cache counters, summed over every Gather. Each gathered row is
+// either a hit or a miss (hits + misses == rows gathered); a miss is a row
+// whose block had to be read from the file. Since a gather reads each block at
+// most once, a call's misses equal the distinct blocks it faulted in.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t evictions = 0;
+  uint64_t evictions = 0;  // blocks dropped to make room for a faulted one
 };
 
 // Read-only row source over one checkpoint section (the embedding table).
@@ -79,6 +85,9 @@ class EmbeddingSource {
 
   // out[i] = row(nodes[i]); |nodes| x cols. Concurrency-safe (the LRU state is
   // internally locked); bitwise-pure in `nodes` regardless of cache state.
+  // Disk-backed sources check every row before locking, then visit the rows
+  // grouped by block: each distinct block is looked up (or read) once and all
+  // of its requested rows are copied to their output positions.
   Tensor Gather(const std::vector<int64_t>& nodes,
                 const ComputeContext* compute) const;
 
@@ -87,9 +96,11 @@ class EmbeddingSource {
  private:
   EmbeddingSource() = default;
 
-  // Returns the cached block holding `row`, faulting it in (and evicting the
-  // least-recently-used block) as needed. Caller holds cache_mu_.
-  const float* CachedRow(int64_t row) const;
+  // Returns the first row of cached block `block_id`, faulting it in as needed
+  // (the evicted least-recently-used block's map node, LRU slot and buffer are
+  // recycled for it), and counts the lookup as one hit or one miss. Caller
+  // holds cache_mu_.
+  const float* CachedBlock(int64_t block_id) const;
 
   int64_t rows_ = 0;
   int64_t cols_ = 0;

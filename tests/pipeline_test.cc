@@ -599,5 +599,38 @@ TEST(PipelineSession, StressRandomDelaysAndSegments) {
   }
 }
 
+// Stage-1 accounting: every production is counted by the segment that consumes
+// it. With one-batch segments a worker woken by Extend can finish before the
+// owner enters Consume (here the owner sleeps in between, so it always does);
+// that production's time must still reach sample_seconds, so the summed
+// stage-1 time covers every producer sleep.
+TEST(PipelineSession, SampleSecondsCountsEveryProduction) {
+  ThreadPool pool(2);
+  constexpr auto kProduce = std::chrono::milliseconds(2);
+  constexpr int64_t kSegments = 12;
+  for (int workers : {1, 2}) {
+    PipelineSessionOptions options;
+    options.workers = workers;
+    options.queue_capacity = 2;
+    options.pool = &pool;
+    PipelineSession session(
+        options,
+        [&](int64_t i) -> std::shared_ptr<void> {
+          std::this_thread::sleep_for(kProduce);
+          return std::make_shared<int64_t>(i);
+        },
+        [&](void*, int64_t) { std::this_thread::sleep_for(2 * kProduce); });
+    double sample_seconds = 0.0;
+    for (int64_t s = 0; s < kSegments; ++s) {
+      session.Extend(1);
+      std::this_thread::sleep_for(2 * kProduce);
+      sample_seconds += session.Consume(1).sample_seconds;
+    }
+    EXPECT_GE(sample_seconds,
+              kSegments * std::chrono::duration<double>(kProduce).count())
+        << workers << " workers";
+  }
+}
+
 }  // namespace
 }  // namespace mariusgnn

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "src/data/datasets.h"
 #include "src/serve/server.h"
 #include "src/util/binary_io.h"
+#include "src/util/rng.h"
 
 namespace mariusgnn {
 namespace {
@@ -234,6 +236,68 @@ TEST(Serve, DiskBackedLruMatchesMemoryBacked) {
   EXPECT_GT(stats.cache.misses, 0u);
   EXPECT_GT(stats.cache.hits, 0u);
   EXPECT_GT(stats.cache.evictions, 0u);
+  std::remove(path.c_str());
+}
+
+// EmbeddingSource level: a shuffled gather with duplicates that touches every
+// block, through a cache too small to hold them all, must match the mmapped
+// source bit for bit and read each distinct block exactly once per cold call.
+TEST(Serve, DiskGatherReadsEachBlockOncePerCall) {
+  Graph g = Fb15k237Like(0.05);
+  TrainingConfig config = SmallLpConfig();
+  const std::string path = TrainLpCheckpoint(g, config, 1, "mgnn_serve_gather");
+  CheckpointManifest manifest;
+  std::string error;
+  ASSERT_TRUE(ReadCheckpointManifest(path, &manifest, &error)) << error;
+  const CheckpointSectionInfo* section = manifest.FindSection("embeddings.values");
+  ASSERT_NE(section, nullptr);
+
+  SnapshotOptions options;
+  options.disk_backed = true;
+  options.cache_block_rows = 64;
+  options.cache_capacity_blocks = 3;
+  const int64_t num_blocks =
+      (section->rows + options.cache_block_rows - 1) / options.cache_block_rows;
+  ASSERT_GT(num_blocks, options.cache_capacity_blocks);
+  std::unique_ptr<EmbeddingSource> mapped =
+      EmbeddingSource::OpenMapped(path, *section, manifest.aligned_sections, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+  std::unique_ptr<EmbeddingSource> disk =
+      EmbeddingSource::OpenDiskLru(path, *section, options, &error);
+  ASSERT_NE(disk, nullptr) << error;
+
+  // Every row once, every third row again, then shuffled.
+  std::vector<int64_t> nodes;
+  for (int64_t r = 0; r < section->rows; ++r) {
+    nodes.push_back(r);
+  }
+  for (int64_t r = 0; r < section->rows; r += 3) {
+    nodes.push_back(r);
+  }
+  Rng rng(17);
+  rng.Shuffle(nodes);
+  const uint64_t n = nodes.size();
+
+  const Tensor want = mapped->Gather(nodes, nullptr);
+  const Tensor got = disk->Gather(nodes, nullptr);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(float)),
+            0);
+  CacheStats stats = disk->cache_stats();
+  EXPECT_EQ(stats.misses, static_cast<uint64_t>(num_blocks));
+  EXPECT_EQ(stats.hits + stats.misses, n);
+  EXPECT_EQ(stats.evictions,
+            static_cast<uint64_t>(num_blocks - options.cache_capacity_blocks));
+
+  // A warm repeat still counts every row once and reads each block at most once.
+  const Tensor again = disk->Gather(nodes, nullptr);
+  EXPECT_EQ(std::memcmp(again.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(float)),
+            0);
+  stats = disk->cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 2 * n);
+  EXPECT_LE(stats.misses, static_cast<uint64_t>(2 * num_blocks));
   std::remove(path.c_str());
 }
 
